@@ -23,12 +23,14 @@
 //!   right before the tail so only the tail replays. Recovery must scale
 //!   with the tail, not the database: the checkpointed rows stay flat as
 //!   the pre-checkpoint history grows.
-//! * `bounded_queue` — one writer calling `write_acked` flat out
-//!   against a [`GroupCommit::Flusher`] thread, once with the commit
-//!   queue unbounded and once capped at a small watermark. The bounded
-//!   row rate-matches the writer to the disk (its `blocked_enqueues` /
-//!   `blocked_ms` show the backpressure actually engaging) instead of
-//!   letting unfsynced batches pile up in memory.
+//! * `bounded_queue` — one writer calling `write_acked` flat out under
+//!   [`GroupCommit::Leader`] and dropping every ack (fire-and-forget), so
+//!   no waiter ever leads a flush. Once with the commit queue unbounded:
+//!   the unfsynced tail grows for the whole run and only the final
+//!   `sync()` flushes it — the hazard the bound exists for. Once capped
+//!   at a small watermark: each enqueue that finds the tail full takes
+//!   over the flush itself, rate-matching the writer to the disk (its
+//!   `blocked_enqueues` / `blocked_ms` show the backpressure engaging).
 //! * `maintenance` — the same time-boxed writer, once bare and once
 //!   with the background supervisor
 //!   ([`DurableDatabase::start_maintenance`]) checkpointing at the
@@ -125,7 +127,6 @@ fn group_name(g: GroupCommit) -> &'static str {
     match g {
         GroupCommit::Serial => "serial",
         GroupCommit::Leader => "leader",
-        GroupCommit::Flusher { .. } => "flusher",
     }
 }
 
@@ -181,9 +182,10 @@ fn measure_group(
 }
 
 /// One time-boxed saturation run: a single writer calling `write_acked`
-/// flat out against a `Flusher` group-commit thread, with the commit
-/// queue either unbounded (`bound == 0`) or capped at `bound` batches.
-/// Returns (commits/s, final durable stats).
+/// flat out under `Leader` group commit without ever waiting an ack, with
+/// the commit queue either unbounded (`bound == 0`, nothing flushes
+/// until the final `sync()`) or capped at `bound` batches (a blocked
+/// enqueue leads the flush). Returns (commits/s, final durable stats).
 fn measure_saturation(
     bound: usize,
     secs: f64,
@@ -192,9 +194,7 @@ fn measure_saturation(
 ) -> (f64, mvcc_core::DurableStats) {
     let dir = scratch_dir(&format!("sat-{bound}"));
     let mut cfg = DurableConfig::default()
-        .with_group_commit(GroupCommit::Flusher {
-            max_coalesce: Duration::from_micros(200),
-        })
+        .with_group_commit(GroupCommit::Leader)
         .with_flush_slo(Duration::from_millis(2));
     if bound > 0 {
         cfg = cfg.with_max_pending_batches(bound);
@@ -212,8 +212,9 @@ fn measure_saturation(
         },
         |_, iter, (session, rng): &mut (DurableSession<'_, U64Map>, _)| {
             // The ack is dropped: the bench measures the enqueue path
-            // and the queue bound, not fsync completion latency (the
-            // final `db.sync()` drains everything before stats).
+            // and the queue bound, not fsync completion latency. Only a
+            // blocked enqueue (bounded row) or the final `db.sync()`
+            // flushes the tail.
             let _ack = session
                 .write_acked(|txn| {
                     for i in 0..batch {
@@ -457,7 +458,7 @@ fn main() {
     for (name, b) in [("unbounded", 0usize), ("bounded", bound)] {
         let (commits, stats) = measure_saturation(b, secs, batch, &zipf);
         println!(
-            "  flusher {name:<9} {commits:>9.0} commits/s  blocked {:>6} enqueues \
+            "  leader {name:<9} {commits:>9.0} commits/s  blocked {:>6} enqueues \
              ({:>6.1} ms)  max flush {:>8.1} us  slo misses {}",
             stats.blocked_enqueues,
             stats.blocked_ns as f64 / 1e6,
@@ -465,6 +466,8 @@ fn main() {
             stats.slo_misses,
         );
         jw.begin_object(name);
+        jw.field_u64("host_threads", nproc as u64);
+        jw.field_str("group_commit", "leader, acks dropped");
         jw.field_u64("max_pending_batches", b as u64);
         jw.field_f64("commits_per_sec", commits);
         jw.field_u64("batches_flushed", stats.batches_flushed);

@@ -4,17 +4,17 @@
 //! A [`DurableDatabase`] wraps the in-memory multiversion database with
 //! the `mvcc-wal` layers:
 //!
-//! * **Commit** — a durable write transaction runs the usual Figure 1
-//!   skeleton, but its key/value deltas are recorded and the batch is
-//!   *published to the write-ahead log before the version becomes
-//!   visible*: the WAL publish happens between user code and the VM
-//!   `set`, inside a commit mutex that hands every batch the next
-//!   `commit_ts` in log order (so the `set` cannot lose a race to
-//!   another durable writer). What "publish" costs depends on the
-//!   [`GroupCommit`] policy: `Serial` appends *and fsyncs* the frame
-//!   inside the critical section, while `Leader`/`Flusher` only
-//!   *enqueue* the record on the WAL's commit-ordered group tail there
-//!   and wait for the coalesced group fsync **outside** the lock — one
+//! * **Commit** — a durable write transaction runs the session's one
+//!   Figure 1 attempt routine, but its key/value deltas are recorded and
+//!   the batch is *published to the write-ahead log before the version
+//!   becomes visible*: the WAL publish is the attempt's publish step,
+//!   between user code and the VM `set`, inside a commit mutex that
+//!   hands every batch the next `commit_ts` in log order (so the `set`
+//!   cannot lose a race to another durable writer). What "publish" costs
+//!   depends on the [`GroupCommit`] policy: `Serial` appends *and
+//!   fsyncs* the frame inside the critical section, while `Leader` only
+//!   *enqueues* the record on the WAL's commit-ordered group tail there
+//!   and waits for the coalesced group fsync **outside** the lock — one
 //!   fsync covers every commit that overlapped it. The invariant is
 //!   then *logged-before-visible, durable-before-acked*: a commit is in
 //!   the log before readers can see it, and [`DurableSession::write`]
@@ -45,11 +45,12 @@
 //! distinct (monotone) file names and the newest-valid fallback keeps
 //! real redundancy.
 //!
-//! The raw [`Database`] stays reachable ([`DurableDatabase::database`])
-//! for reads, pools and diagnostics, but a *write* through it bypasses
-//! the log; a durable commit that loses its `set` to such a writer
-//! surfaces [`DurableError::RacedByRawWriter`] instead of retrying —
-//! that race is a misuse, not a liveness event.
+//! The in-memory [`Database`] stays reachable
+//! ([`DurableDatabase::database`]) for reads, pools and diagnostics, but
+//! a *write* through one of its plain sessions bypasses the log; a
+//! durable commit that loses its `set` to such a writer surfaces
+//! [`DurableError::RacedByRawWriter`] instead of retrying — that race is
+//! a misuse, not a liveness event.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,7 +66,7 @@ use mvcc_wal::{
 };
 
 use crate::batch::MapOp;
-use crate::{decode, encode, Database, Session, SessionError, SessionReadGuard, WriteTxn};
+use crate::{Database, Session, SessionError, SessionReadGuard, WriteTxn};
 
 /// When a committed batch becomes durable.
 ///
@@ -100,11 +101,8 @@ pub enum Durability {
 ///   (one append, one fsync); commits that arrive during that flush form
 ///   the next group. Coalescing is driven purely by overlap — a lone
 ///   writer degenerates to one fsync per commit, same as `Serial`.
-/// * [`Flusher`](GroupCommit::Flusher) — a dedicated background thread
-///   flushes the group tail after waiting up to `max_coalesce` for more
-///   commits to accumulate; committers wait passively. Trades up to
-///   `max_coalesce` of added commit latency for bigger groups (useful
-///   when writers rarely overlap but fsyncs are expensive).
+///   Unlike `Serial`, a failed flush cannot be rolled back — its commits
+///   are already visible — so it poisons the log.
 ///
 /// Group commit only changes *when the fsync happens*, never what is
 /// logged: records still enter the WAL's commit-ordered tail before the
@@ -118,12 +116,6 @@ pub enum GroupCommit {
     Serial,
     /// First durability waiter flushes the whole pending group.
     Leader,
-    /// A dedicated thread flushes after a bounded coalescing wait.
-    Flusher {
-        /// How long the flusher lets a non-empty group accumulate before
-        /// flushing it (an upper bound on added commit latency).
-        max_coalesce: Duration,
-    },
 }
 
 /// Configuration for opening / recovering a [`DurableDatabase`].
@@ -139,7 +131,7 @@ pub struct DurableConfig {
     pub retry: RetryPolicy,
     /// Bounded commit queue: high watermark on the group-commit tail in
     /// pending commits (0 = unbounded). A commit that would push past it
-    /// blocks inside its critical section until the flusher drains the
+    /// blocks inside its critical section until a group flush drains the
     /// tail — backpressure instead of unbounded memory when the commit
     /// rate outruns the disk. Counted in
     /// [`DurableStats::blocked_enqueues`].
@@ -147,8 +139,8 @@ pub struct DurableConfig {
     /// Bounded commit queue by encoded bytes (0 = unbounded); whichever
     /// watermark trips first wins.
     pub max_pending_bytes: usize,
-    /// Flusher-latency SLO: a group flush slower than this is counted in
-    /// [`DurableStats::slo_misses`] (`None` = no SLO).
+    /// Group-flush latency SLO: a group flush slower than this is counted
+    /// in [`DurableStats::slo_misses`] (`None` = no SLO).
     pub flush_slo: Option<Duration>,
 }
 
@@ -187,7 +179,7 @@ impl DurableConfig {
         self
     }
 
-    /// This config with a flusher-latency SLO.
+    /// This config with a group-flush latency SLO.
     pub fn with_flush_slo(mut self, slo: Duration) -> Self {
         self.flush_slo = Some(slo);
         self
@@ -547,9 +539,6 @@ pub struct CommitAck {
     /// `None`: already as durable as the policy guarantees.
     wal: Option<Arc<Wal>>,
     seq: u64,
-    /// Whether the waiter may lead the flush ([`GroupCommit::Leader`]) or
-    /// should defer to the dedicated flusher ([`GroupCommit::Flusher`]).
-    lead: bool,
     commit_ts: Option<u64>,
 }
 
@@ -557,7 +546,6 @@ impl std::fmt::Debug for CommitAck {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CommitAck")
             .field("seq", &self.seq)
-            .field("lead", &self.lead)
             .field("commit_ts", &self.commit_ts)
             .field("durable", &self.is_durable())
             .finish()
@@ -569,7 +557,6 @@ impl CommitAck {
         CommitAck {
             wal: None,
             seq: 0,
-            lead: false,
             commit_ts,
         }
     }
@@ -597,14 +584,7 @@ impl CommitAck {
     pub fn wait(&self) -> Result<(), DurableError> {
         match &self.wal {
             None => Ok(()),
-            Some(wal) => {
-                if self.lead {
-                    wal.wait_durable(self.seq)?;
-                } else {
-                    wal.wait_durable_passive(self.seq)?;
-                }
-                Ok(())
-            }
+            Some(wal) => Ok(wal.wait_durable(self.seq)?),
         }
     }
 }
@@ -628,70 +608,15 @@ pub struct DurableDatabase<P: TreeParams, M: VersionMaintenance = PswfVm> {
     db: Database<P, M>,
     storage: Arc<dyn Storage>,
     /// `None` under [`Durability::Off`]: commits skip logging entirely.
-    /// Shared ([`Arc`]) so [`CommitAck`]s and the flusher thread can
-    /// outlive the borrow of a session.
+    /// Shared ([`Arc`]) so [`CommitAck`]s can outlive the borrow of a
+    /// session.
     wal: Option<Arc<Wal>>,
     /// The *effective* group-commit policy ([`GroupCommit::Serial`]
     /// whenever durability is not [`Durability::Always`]).
     group: GroupCommit,
-    _flusher: Option<FlusherHandle>,
     commit: Mutex<CommitClock>,
     report: RecoveryReport,
     maint: Mutex<MaintInner>,
-}
-
-/// The dedicated flusher thread of [`GroupCommit::Flusher`], joined on
-/// drop (after a final flush of whatever is still pending).
-struct FlusherHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-impl FlusherHandle {
-    fn spawn(wal: Arc<Wal>, max_coalesce: Duration) -> FlusherHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        // The park interval bounds both shutdown latency and how stale an
-        // empty-tail check can go; the coalescing window itself is the
-        // sleep between "work observed" and "flush".
-        let idle = max_coalesce.max(Duration::from_micros(100));
-        let join = std::thread::Builder::new()
-            .name("mvcc-wal-flusher".into())
-            .spawn(move || loop {
-                if stop2.load(Ordering::Acquire) {
-                    let _ = wal.flush_pending();
-                    return;
-                }
-                if wal.pending_batches() > 0 {
-                    std::thread::sleep(max_coalesce);
-                    // A poisoned log surfaces to the waiters themselves;
-                    // the flusher just parks until shutdown.
-                    if wal.flush_pending().is_err() {
-                        while !stop2.load(Ordering::Acquire) {
-                            std::thread::park_timeout(idle);
-                        }
-                        return;
-                    }
-                } else {
-                    std::thread::park_timeout(idle);
-                }
-            })
-            .expect("spawn wal flusher thread");
-        FlusherHandle {
-            stop,
-            join: Some(join),
-        }
-    }
-}
-
-impl Drop for FlusherHandle {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(join) = self.join.take() {
-            join.thread().unpark();
-            let _ = join.join();
-        }
-    }
 }
 
 fn decode_ops<P: TreeParams>(ops: &[WalOp]) -> Result<Vec<MapOp<P>>, DurableError>
@@ -853,12 +778,6 @@ where
             Durability::Off => None,
             _ => Some(Arc::new(wal)),
         };
-        let _flusher = match (&wal, group) {
-            (Some(wal), GroupCommit::Flusher { max_coalesce }) => {
-                Some(FlusherHandle::spawn(Arc::clone(wal), max_coalesce))
-            }
-            _ => None,
-        };
         let maint = MaintInner {
             health: Health::Ok,
             stats: MaintenanceStats {
@@ -878,7 +797,6 @@ where
             storage,
             wal,
             group,
-            _flusher,
             commit: Mutex::new(CommitClock { next_tx, last_ts }),
             report,
             maint: Mutex::new(maint),
@@ -1289,8 +1207,7 @@ where
 }
 
 /// The background supervisor thread of
-/// [`DurableDatabase::start_maintenance`], stopped and joined on drop
-/// (RAII, mirroring the WAL flusher thread).
+/// [`DurableDatabase::start_maintenance`], stopped and joined on drop.
 pub struct MaintenanceHandle {
     stop: Arc<AtomicBool>,
     join: Option<std::thread::JoinHandle<()>>,
@@ -1394,8 +1311,7 @@ where
     /// the new version becomes visible, and `Ok` means the commit is as
     /// durable as the [`Durability`] policy guarantees: under
     /// [`GroupCommit::Serial`] the frame was appended and fsynced inside
-    /// the commit critical section; under `Leader`/`Flusher` the record
-    /// entered the WAL's commit-ordered tail inside the critical section
+    /// the commit critical section; under `Leader` the record entered the WAL's commit-ordered tail inside the critical section
     /// and this call then waited (outside it) for the group fsync —
     /// equivalent to [`DurableSession::write_acked`] followed by an
     /// immediate [`CommitAck::wait`].
@@ -1443,80 +1359,60 @@ where
                 .write(|txn| f(&mut DurableTxn { txn, log: None }));
             return Ok((result, CommitAck::immediate(None)));
         };
-        let grouped = !matches!(dd.group, GroupCommit::Serial);
-
-        let db = self.inner.database();
-        self.ops.clear();
+        let ops = &mut self.ops;
+        ops.clear();
+        let mut ack = CommitAck::immediate(None);
 
         // Serialize durable writers: commit_ts assignment, WAL publish
         // and `set` form one critical section, so the log order is the
         // commit order and `set` cannot lose to another *durable* writer.
         // The group fsync is NOT in here — that is the whole point.
         let mut clock = dd.clock();
-        let _pin = db.forest().arena().pin(self.inner.alloc_ctx());
-        let pid = self.inner.pid();
-        let base = decode(db.vmo.acquire(pid));
-        db.forest().retain(base);
-        let mut txn = WriteTxn::new(db.forest(), base);
-        let result = f(&mut DurableTxn {
-            txn: &mut txn,
-            log: Some(&mut self.ops),
-        });
-        let new_root = txn.root();
-
-        // Publish to the log BEFORE the version becomes visible: the WAL
-        // record is the commit point. Serial appends (and fsyncs) here;
-        // grouped mode enqueues on the commit-ordered tail and defers
-        // the fsync to the group flush.
-        let batch = WalBatch {
-            tx_id: clock.next_tx,
-            commit_ts: clock.last_ts + 1,
-            snapshot_ts: clock.last_ts,
-            ops: encode_ops::<P>(&self.ops),
-        };
-        let publish = if grouped {
-            wal.enqueue(&batch).map(Some)
-        } else {
-            wal.append(&batch).map(|()| None)
-        };
-        let seq = match publish {
-            Ok(seq) => seq,
-            Err(e) => {
-                // Nothing entered the log (a failed serial append rolls
-                // its frame back; a refused enqueue never queued):
-                // nothing visible, nothing the next recovery would
-                // replay as acked. Release the speculative version and
-                // leave the database as it was; `commit_ts` is safe to
-                // reuse because the failed record is off the log.
-                db.forest().release(new_root);
-                db.finish_txn(pid, &mut self.inner.released);
-                self.inner.aborts += 1;
-                return Err(e.into());
-            }
-        };
-        // The batch is in the log; its identifiers are spent even if the
-        // `set` below loses to a contract-violating raw writer.
-        clock.next_tx += 1;
-        clock.last_ts = batch.commit_ts;
-
-        let ok = db.vmo.set(pid, encode(new_root));
-        db.finish_txn(pid, &mut self.inner.released);
-        if ok {
-            self.inner.commits += 1;
-            let ack = match seq {
-                Some(seq) => CommitAck {
-                    wal: Some(Arc::clone(wal)),
-                    seq,
-                    lead: !matches!(dd.group, GroupCommit::Flusher { .. }),
+        let committed = self.inner.attempt(
+            move |forest, base| {
+                let mut txn = WriteTxn::new(forest, base);
+                let result = f(&mut DurableTxn {
+                    txn: &mut txn,
+                    log: Some(&mut *ops),
+                });
+                (txn.root(), (result, ops))
+            },
+            // Publish to the log BEFORE the version becomes visible: the
+            // WAL record is the commit point. Serial appends (and fsyncs)
+            // here; Leader enqueues on the commit-ordered tail and defers
+            // the fsync to the group flush. On `Err` nothing entered the
+            // log (a failed serial append rolls its frame back; a refused
+            // enqueue never queued), so the attempt abandons the
+            // speculative version and `commit_ts` is safe to reuse.
+            |(_, ops)| {
+                let batch = WalBatch {
+                    tx_id: clock.next_tx,
+                    commit_ts: clock.last_ts + 1,
+                    snapshot_ts: clock.last_ts,
+                    ops: encode_ops::<P>(ops),
+                };
+                let seq = match dd.group {
+                    GroupCommit::Serial => {
+                        wal.append(&batch)?;
+                        None
+                    }
+                    GroupCommit::Leader => Some(wal.enqueue(&batch)?),
+                };
+                // The batch is in the log; its identifiers are spent even
+                // if the `set` loses to a contract-violating raw writer.
+                clock.next_tx += 1;
+                clock.last_ts = batch.commit_ts;
+                ack = CommitAck {
+                    wal: seq.map(|_| Arc::clone(wal)),
+                    seq: seq.unwrap_or(0),
                     commit_ts: Some(batch.commit_ts),
-                },
-                None => CommitAck::immediate(Some(batch.commit_ts)),
-            };
-            Ok((result, ack))
-        } else {
-            db.forest().release(new_root);
-            self.inner.aborts += 1;
-            Err(DurableError::RacedByRawWriter)
+                };
+                Ok::<(), WalError>(())
+            },
+        )?;
+        match committed {
+            Some((result, _)) => Ok((result, ack)),
+            None => Err(DurableError::RacedByRawWriter),
         }
     }
 
@@ -2010,31 +1906,6 @@ mod tests {
         let stats = db.durable_stats();
         assert_eq!(stats.pending_batches, 0);
         assert_eq!(stats.max_group, 2, "the two commits shared one flush");
-    }
-
-    #[test]
-    fn flusher_policy_flushes_in_background_and_recovers() {
-        let storage = FaultStorage::unfaulted();
-        {
-            let db: DurableDatabase<U64Map> = DurableDatabase::recover_storage(
-                Arc::new(storage.clone()),
-                2,
-                DurableConfig::default().with_group_commit(GroupCommit::Flusher {
-                    max_coalesce: Duration::from_micros(200),
-                }),
-            )
-            .unwrap();
-            let mut s = db.session().unwrap();
-            for k in 0..30u64 {
-                s.insert(k, k).unwrap();
-            }
-            let stats = db.durable_stats();
-            assert_eq!(stats.batches_flushed, 30);
-            assert!(stats.groups_flushed >= 1);
-        } // drop stops and joins the flusher thread
-        let db = open(&storage, Durability::Always);
-        assert_eq!(db.recovery().replayed, 30);
-        assert_eq!(db.session().unwrap().len(), 30);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! * a pinned [`AllocCtx`] (one arena shard per pid), so user code's path
 //!   copies, commit bookkeeping and precise collection all route through
-//!   one freelist without threading `write_in`/`alloc_ctx` by hand — the
+//!   one freelist without threading an allocation context by hand — the
 //!   pin covers the session's own thread; bulk operations that fork onto
 //!   the work-stealing pool (`union`, `multi_insert`, `filter`, …) re-pin
 //!   each stolen subtask to its executing thread's shard, so big batches
@@ -29,12 +29,13 @@
 //!   per transaction.
 
 use std::cell::Cell;
+use std::convert::Infallible;
 use std::marker::PhantomData;
 
 use mvcc_ftree::{AllocCtx, Forest, Root, TreeParams};
 use mvcc_vm::{PswfVm, VersionMaintenance};
 
-use crate::{decode, Aborted, Database, Snapshot, TxnStats};
+use crate::{decode, encode, Aborted, Database, Snapshot, TxnStats};
 
 /// An exclusive lease on one process id of a [`Database`], carrying the
 /// transaction API (Figure 1) for that pid.
@@ -55,11 +56,9 @@ pub struct Session<'db, P: TreeParams, M: VersionMaintenance = PswfVm> {
     pid: usize,
     ctx: AllocCtx,
     /// Reused across transactions: `release` appends, `collect` drains.
-    /// `pub(crate)`: the durable commit path ([`crate::durable`]) runs its
-    /// own transaction skeleton on the session's buffer and counters.
-    pub(crate) released: Vec<u64>,
-    pub(crate) commits: u64,
-    pub(crate) aborts: u64,
+    released: Vec<u64>,
+    commits: u64,
+    aborts: u64,
     reads: u64,
     /// Set when a lease reaper already returned this session's pid to the
     /// pool ([`crate::pool::LeaseGuard`]): the drop must not release it a
@@ -195,9 +194,8 @@ impl<'db, P: TreeParams, M: VersionMaintenance> Session<'db, P, M> {
     /// as `multi_insert` / `union`).
     pub fn write_raw<R>(&mut self, mut f: impl FnMut(&Forest<P>, Root) -> (Root, R)) -> R {
         loop {
-            match self.attempt(&mut f) {
-                Some(r) => return r,
-                None => continue,
+            if let Ok(r) = self.try_write_raw(&mut f) {
+                return r;
             }
         }
     }
@@ -206,24 +204,54 @@ impl<'db, P: TreeParams, M: VersionMaintenance> Session<'db, P, M> {
     /// concurrent commit.
     pub fn try_write_raw<R>(
         &mut self,
-        mut f: impl FnMut(&Forest<P>, Root) -> (Root, R),
+        f: impl FnMut(&Forest<P>, Root) -> (Root, R),
     ) -> Result<R, Aborted> {
-        self.attempt(&mut f).ok_or(Aborted)
+        let Ok(attempt) = self.attempt(f, |_| Ok::<(), Infallible>(()));
+        attempt.ok_or(Aborted)
     }
 
-    fn attempt<R>(&mut self, f: &mut impl FnMut(&Forest<P>, Root) -> (Root, R)) -> Option<R> {
+    /// One write attempt (Figure 1, right) — the only route by which a
+    /// write reaches the tree: acquire, run user code on an owned
+    /// snapshot root, `publish`, `set`, then release and precisely
+    /// collect. `Ok(None)` means a concurrent writer's `set` won.
+    ///
+    /// `publish` runs between user code and `set`, so whatever it does
+    /// happens before the new version can become visible. In-memory
+    /// writes pass a no-op (monomorphised away); the durable commit path
+    /// ([`crate::durable`]) logs the batch there. An `Err` from it
+    /// abandons the attempt exactly like a lost `set` — the speculative
+    /// version is collected and nothing becomes visible — and is
+    /// returned.
+    pub(crate) fn attempt<R, E>(
+        &mut self,
+        f: impl FnOnce(&Forest<P>, Root) -> (Root, R),
+        publish: impl FnOnce(&R) -> Result<(), E>,
+    ) -> Result<Option<R>, E> {
         let db = self.db;
         // Everything the attempt allocates (user path copies) or frees
         // (displaced/speculative versions) routes through this session's
         // shard, even if a thread pool migrated the session since the
         // last transaction.
         let _pin = db.forest.arena().pin(self.ctx);
-        let result = db.try_write_core(self.pid, &mut self.released, f);
-        match result {
-            Some(_) => self.commits += 1,
-            None => self.aborts += 1,
+        let base = decode(db.vmo.acquire(self.pid));
+        // Hand the user code an owned reference to the snapshot; the
+        // version system keeps its own.
+        db.forest.retain(base);
+        let (new_root, result) = f(&db.forest, base);
+        let published = publish(&result);
+        // Commit: ownership of `new_root`'s reference transfers to the
+        // version system on success.
+        let ok = published.is_ok() && db.vmo.set(self.pid, encode(new_root));
+        // ---- response (if ok) delivered; cleanup phase ----
+        db.finish_txn(self.pid, &mut self.released);
+        if ok {
+            self.commits += 1;
+            return Ok(Some(result));
         }
-        result
+        // Figure 1 line 7: collect the speculative version.
+        db.forest.release(new_root);
+        self.aborts += 1;
+        published.map(|()| None)
     }
 
     // ---- convenience single-op transactions ----
@@ -322,8 +350,8 @@ pub struct WriteTxn<'t, P: TreeParams> {
 }
 
 impl<'t, P: TreeParams> WriteTxn<'t, P> {
-    /// Wrap an owned working root (the durable commit path builds its
-    /// transaction view by hand).
+    /// Wrap an owned working root (the durable commit path wraps the
+    /// view in a recording `DurableTxn`).
     pub(crate) fn new(forest: &'t Forest<P>, root: Root) -> Self {
         WriteTxn { forest, root }
     }

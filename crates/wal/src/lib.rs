@@ -8,15 +8,15 @@
 //!
 //! * **Write-ahead log** ([`Wal`]) — append-only segment files
 //!   (`wal-{seq:08}.seg`, rolled at a size threshold) of CRC-guarded,
-//!   length-prefixed frames. Two append paths share the segments:
-//!   [`Wal::append`] writes one record per frame and fsyncs per the
-//!   [`FsyncPolicy`] (the *serial* path), while [`Wal::enqueue`] +
-//!   [`Wal::wait_durable`] stage records on a commit-ordered **group
-//!   tail** that a leader — the first durability waiter, or a dedicated
-//!   flusher thread — drains into one multi-record frame and a single
-//!   fsync (the *group-commit* path; see [`GroupStats`] for how well it
-//!   coalesces). Appends retry transient I/O errors with exponential
-//!   backoff before surfacing a typed [`WalError`].
+//!   length-prefixed frames. Two entry points share one write routine:
+//!   [`Wal::append`] writes one record per frame (the *serial* path),
+//!   while [`Wal::enqueue`] + [`Wal::wait_durable`] stage records on a
+//!   commit-ordered **group tail** that a leader — the first durability
+//!   waiter — drains into one multi-record frame (the *group-commit*
+//!   path; see [`GroupStats`] for how well it coalesces). Either way the
+//!   routine fsyncs per the [`FsyncPolicy`] and retries transient I/O
+//!   errors with exponential backoff before surfacing a typed
+//!   [`WalError`].
 //! * **Snapshot checkpoints** ([`checkpoint`]) — a full key/value image
 //!   at one `commit_ts`, written to a temporary name, CRC-sealed, then
 //!   renamed into place so a crash mid-checkpoint leaves the previous
@@ -93,7 +93,9 @@ pub use storage::{DirStorage, Storage};
 
 use std::time::Duration;
 
-/// When the log calls `fsync` on the active segment.
+/// When the log calls `fsync` on the active segment (on both the serial
+/// and the group-commit path; `EveryN` counts records, and a segment is
+/// always synced before it is sealed unless the policy is `Off`).
 ///
 /// The policy trades a crash's worst-case loss window against commit
 /// latency: `Always` makes every acknowledged commit durable; `EveryN(n)`
@@ -154,8 +156,8 @@ pub struct WalConfig {
     /// (0 = unbounded). Same backpressure contract as
     /// [`WalConfig::max_pending_batches`]; whichever trips first wins.
     pub max_pending_bytes: usize,
-    /// Flusher-latency SLO: a group flush slower than this counts as an
-    /// [`GroupStats::slo_misses`] saturation event (`None` = no SLO).
+    /// Group-flush latency SLO: a group flush slower than this counts as
+    /// a [`GroupStats::slo_misses`] saturation event (`None` = no SLO).
     pub flush_slo: Option<Duration>,
 }
 

@@ -9,7 +9,9 @@
 //! sealed segments whose every batch is covered by a checkpoint — the
 //! active segment is never dropped.
 //!
-//! Two append paths share the segment files:
+//! Two entry points feed one write routine, which frames the bytes,
+//! appends them with bounded retry, fsyncs per [`FsyncPolicy`] and rolls
+//! the segment:
 //!
 //! * [`Wal::append`] — the serial path: one frame, fsynced per policy,
 //!   durable (or rolled back) by the time the call returns.
@@ -22,10 +24,10 @@
 //!   itself leader and performs the flush while later enqueuers keep
 //!   adding to the next group; everyone else waits on a condvar and is
 //!   woken with the result. [`Wal::flush_pending`] drives the same flush
-//!   explicitly (the dedicated-flusher policy and `sync`).
+//!   explicitly (`sync`, checkpoints).
 //!
-//! The two paths have different failure contracts. A serial append rolls
-//! its frame back on any post-append failure, so `Err` means "the log is
+//! The callers choose only what a failed write does. A serial append
+//! rolls its frame back on any failure, so `Err` means "the log is
 //! unchanged". A group flush cannot roll back: its records were enqueued
 //! (and the corresponding commits made visible) before the flush ran, so
 //! truncating them away would let the *next* group replay over a gap in
@@ -45,7 +47,7 @@
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::frame::{self, WalBatch, GROUP_CHUNK_RECORDS};
 use crate::{io_err, FsyncPolicy, RetryPolicy, Storage, WalConfig, WalError};
@@ -123,6 +125,7 @@ struct WalInner {
     sealed: Vec<SegmentMeta>,
     /// The active segment; appends land here.
     cur: SegmentMeta,
+    /// Records written since the last fsync (the `EveryN` counter).
     appends_since_sync: u64,
     /// Reusable frame-encoding buffer.
     scratch: Vec<u8>,
@@ -192,10 +195,17 @@ struct GroupState {
     stats: GroupStats,
 }
 
-/// How long a passive group-commit waiter (one relying on a dedicated
-/// flusher) waits before electing itself leader anyway — the deadlock
-/// backstop for a stalled or missing flusher thread.
-const PASSIVE_RESCUE: Duration = Duration::from_millis(20);
+/// What a failed [`Wal::write_frames`] does to the log.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum OnFailure {
+    /// Nothing the frames carry is visible yet: truncate them back off
+    /// (and remove a half-created next segment) so `Err` means "the log
+    /// is unchanged"; poison only if that cleanup itself fails.
+    RollBack,
+    /// The frames' commits are already visible: removing them would
+    /// leave a replay-order gap, so refuse everything from here on.
+    Poison,
+}
 
 /// An append-only write-ahead log over a [`Storage`].
 ///
@@ -203,7 +213,7 @@ const PASSIVE_RESCUE: Duration = Duration::from_millis(20);
 /// layer serializes durable commits anyway; the mutex makes direct use
 /// safe too). The group-commit path ([`Wal::enqueue`] /
 /// [`Wal::wait_durable`]) adds concurrent batch coalescing on top — see
-/// the module docs for the two paths' contracts.
+/// the module docs for the two entry points' failure contracts.
 pub struct Wal {
     storage: Arc<dyn Storage>,
     cfg: WalConfig,
@@ -387,49 +397,50 @@ impl Wal {
         // still reaches storage in commit order (no-op when the group
         // tail is empty, which is the pure-serial fast path).
         self.flush_pending()?;
-        let mut guard = self.lock();
-        let inner = &mut *guard;
+        let mut inner = self.lock();
+        inner.scratch.clear();
+        batch.encode_frame(&mut inner.scratch);
+        self.write_frames(&mut inner, 1, batch.commit_ts, OnFailure::RollBack)
+    }
+
+    /// The one write routine behind both entry points: append the frames
+    /// staged in `inner.scratch` (`records` records, the last at
+    /// `last_ts`) with bounded retry, fsync per [`FsyncPolicy`], and roll
+    /// to a fresh segment once the active one is full — syncing it before
+    /// sealing so truncation bookkeeping never outruns durability. Any
+    /// failure is handled as `on_failure` says.
+    fn write_frames(
+        &self,
+        inner: &mut WalInner,
+        records: u64,
+        last_ts: u64,
+        on_failure: OnFailure,
+    ) -> Result<(), WalError> {
         if inner.poisoned {
             return Err(WalError::Poisoned);
         }
-        inner.scratch.clear();
-        batch.encode_frame(&mut inner.scratch);
         let name = inner.cur.name();
         let prev = inner.cur.clone();
         let prev_since_sync = inner.appends_since_sync;
-        append_retry(&self.storage, &self.cfg.retry, &name, &inner.scratch)?;
-        inner.cur.bytes += inner.scratch.len() as u64;
-        inner.cur.batches += 1;
-        inner.cur.last_ts = batch.commit_ts;
-        inner.appends_since_sync += 1;
-
-        // The frame is in the log; fsync it per policy and roll the
-        // segment if full. Any failure past this point must not surface
-        // with the frame still appended (the caller treats `Err` as "the
-        // commit did not happen", so a lingering frame would be
-        // resurrected by the next recovery).
         let res = (|| -> Result<(), WalError> {
-            let flush = match self.cfg.fsync {
+            append_retry(&self.storage, &self.cfg.retry, &name, &inner.scratch)?;
+            inner.cur.bytes += inner.scratch.len() as u64;
+            inner.cur.batches += records;
+            inner.cur.last_ts = last_ts;
+            inner.appends_since_sync += records;
+            let roll = inner.cur.bytes >= self.cfg.segment_bytes;
+            let sync = match self.cfg.fsync {
                 FsyncPolicy::Always => true,
-                FsyncPolicy::EveryN(n) => inner.appends_since_sync >= n.max(1),
+                FsyncPolicy::EveryN(n) => roll || inner.appends_since_sync >= n.max(1),
                 FsyncPolicy::Off => false,
             };
-            if flush {
+            if sync {
                 self.storage
                     .sync(&name)
                     .map_err(|e| io_err("sync", &name, e))?;
                 inner.appends_since_sync = 0;
             }
-
-            if inner.cur.bytes >= self.cfg.segment_bytes {
-                // Seal and roll. Sync the sealed segment first so
-                // truncation bookkeeping never outruns durability.
-                if !flush && self.cfg.fsync != FsyncPolicy::Off {
-                    self.storage
-                        .sync(&name)
-                        .map_err(|e| io_err("sync", &name, e))?;
-                    inner.appends_since_sync = 0;
-                }
+            if roll {
                 let next = Self::create_segment(&self.storage, &self.cfg.retry, inner.cur.seq + 1)?;
                 let sealed = std::mem::replace(&mut inner.cur, next);
                 inner.sealed.push(sealed);
@@ -437,33 +448,32 @@ impl Wal {
             Ok(())
         })();
 
-        if let Err(e) = res {
-            // Take the frame back off the segment (and remove any
-            // partially created next segment) so `Err` means the log is
-            // unchanged. If the cleanup itself fails the tail is in a
-            // state we can no longer reason about: poison the log.
+        if res.is_err() {
+            // Roll back: take the frames back off the segment and remove
+            // any partially created next segment. If that cleanup fails
+            // the tail is in a state we can no longer reason about.
             let next_name = segment_name(prev.seq + 1);
-            let cleanup = (|| -> io::Result<()> {
-                self.storage.truncate(&name, prev.bytes)?;
-                match self.storage.len(&next_name) {
-                    Ok(_) => self.storage.remove(&next_name),
-                    Err(err) if err.kind() == io::ErrorKind::NotFound => Ok(()),
-                    Err(err) => Err(err),
-                }
-            })();
-            match cleanup {
-                Ok(()) => {
-                    inner.cur = prev;
-                    // A successful mid-path sync may be forgotten here;
-                    // that only schedules the next group fsync early,
-                    // which is always safe.
-                    inner.appends_since_sync = prev_since_sync;
-                }
-                Err(_) => inner.poisoned = true,
+            let rolled_back = on_failure == OnFailure::RollBack
+                && (|| -> io::Result<()> {
+                    self.storage.truncate(&name, prev.bytes)?;
+                    match self.storage.len(&next_name) {
+                        Ok(_) => self.storage.remove(&next_name),
+                        Err(err) if err.kind() == io::ErrorKind::NotFound => Ok(()),
+                        Err(err) => Err(err),
+                    }
+                })()
+                .is_ok();
+            if rolled_back {
+                inner.cur = prev;
+                // A successful mid-path sync may be forgotten here; that
+                // only schedules the next `EveryN` fsync early, which is
+                // always safe.
+                inner.appends_since_sync = prev_since_sync;
+            } else {
+                inner.poisoned = true;
             }
-            return Err(e);
         }
-        Ok(())
+        res
     }
 
     /// Force an fsync of the active segment, first flushing any pending
@@ -563,11 +573,7 @@ impl Wal {
                     g = self.lead_flush(g);
                     continue;
                 }
-                let (guard, _) = self
-                    .group_cv
-                    .wait_timeout(g, PASSIVE_RESCUE)
-                    .unwrap_or_else(|e| e.into_inner());
-                g = guard;
+                g = self.group_cv.wait(g).unwrap_or_else(|e| e.into_inner());
             }
             g.stats.blocked_ns += t0.elapsed().as_nanos() as u64;
         }
@@ -590,8 +596,8 @@ impl Wal {
     }
 
     /// The enqueue tail end: encode onto the pending tail (the caller
-    /// has already cleared poisoning and the watermark) and wake the
-    /// flusher.
+    /// has already cleared poisoning and the watermark). No one waits on
+    /// a push — waiters wait for flushes — so there is nobody to wake.
     fn push_record(
         &self,
         mut g: MutexGuard<'_, GroupState>,
@@ -602,34 +608,17 @@ impl Wal {
         g.ends.push(end);
         g.last_ts = batch.commit_ts;
         g.enqueued += 1;
-        let seq = g.enqueued;
-        drop(g);
-        // Wake a dedicated flusher (or passive waiters) parked on the cv.
-        self.group_cv.notify_all();
-        Ok(seq)
+        Ok(g.enqueued)
     }
 
     /// Block until every record enqueued at or before `seq` is flushed
-    /// and fsynced. The first waiter to find no flush in progress elects
-    /// itself **leader** and performs the flush (one multi-record append,
-    /// one fsync) for the whole pending group; the others wait on a
-    /// condvar and wake with the result. `Err(Poisoned)` means a flush
-    /// failed after the record was already enqueued — see the module docs
-    /// for why that cannot be rolled back.
+    /// (and fsynced per the policy). The first waiter to find no flush in
+    /// progress elects itself **leader** and performs the flush (one
+    /// multi-record append, one fsync) for the whole pending group; the
+    /// others wait on a condvar and wake with the result. `Err(Poisoned)`
+    /// means a flush failed after the record was already enqueued — see
+    /// the module docs for why that cannot be rolled back.
     pub fn wait_durable(&self, seq: u64) -> Result<(), WalError> {
-        self.wait_group(seq, true)
-    }
-
-    /// [`Wal::wait_durable`] for committers relying on a dedicated
-    /// flusher thread: waits passively instead of leading, so the flusher
-    /// controls the coalescing window. If no flush covers `seq` within a
-    /// short backstop interval the waiter elects itself leader after all
-    /// (a stalled or missing flusher must not deadlock commits).
-    pub fn wait_durable_passive(&self, seq: u64) -> Result<(), WalError> {
-        self.wait_group(seq, false)
-    }
-
-    fn wait_group(&self, seq: u64, mut may_lead: bool) -> Result<(), WalError> {
         let mut g = self.group_lock();
         loop {
             if g.durable >= seq {
@@ -638,18 +627,11 @@ impl Wal {
             if g.poisoned {
                 return Err(WalError::Poisoned);
             }
-            if may_lead && !g.flushing {
-                g = self.lead_flush(g);
-                continue;
-            }
-            let (guard, timeout) = self
-                .group_cv
-                .wait_timeout(g, PASSIVE_RESCUE)
-                .unwrap_or_else(|e| e.into_inner());
-            g = guard;
-            if timeout.timed_out() {
-                may_lead = true;
-            }
+            g = if g.flushing {
+                self.group_cv.wait(g).unwrap_or_else(|e| e.into_inner())
+            } else {
+                self.lead_flush(g)
+            };
         }
     }
 
@@ -664,7 +646,7 @@ impl Wal {
             }
             g.enqueued
         };
-        self.wait_group(target, true)
+        self.wait_durable(target)
     }
 
     /// Records enqueued on the group tail but not yet flushed.
@@ -725,16 +707,11 @@ impl Wal {
 
     /// The flush I/O: frame the pending record bodies (single-record
     /// frames for lone commits, multi-record group frames otherwise,
-    /// chunked at [`GROUP_CHUNK_RECORDS`]), append them in one storage
-    /// write, fsync once, and roll the segment if it filled. Serializes
-    /// with the serial append path on the segment mutex. Any failure
-    /// poisons the segment state (see the module docs).
+    /// chunked at [`GROUP_CHUNK_RECORDS`]) and hand them to the write
+    /// routine as one storage append. Any failure poisons the log (see
+    /// the module docs).
     fn flush_group(&self, bodies: &[u8], ends: &[usize], last_ts: u64) -> Result<(), WalError> {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        if inner.poisoned {
-            return Err(WalError::Poisoned);
-        }
+        let mut inner = self.lock();
         inner.scratch.clear();
         let mut first = 0usize; // record index where the current chunk starts
         let mut first_byte = 0usize;
@@ -749,33 +726,7 @@ impl Wal {
             first_byte = ends[last - 1];
             first = last;
         }
-
-        let name = inner.cur.name();
-        let res = (|| -> Result<(), WalError> {
-            append_retry(&self.storage, &self.cfg.retry, &name, &inner.scratch)?;
-            inner.cur.bytes += inner.scratch.len() as u64;
-            inner.cur.batches += ends.len() as u64;
-            inner.cur.last_ts = last_ts;
-            if self.cfg.fsync != FsyncPolicy::Off {
-                self.storage
-                    .sync(&name)
-                    .map_err(|e| io_err("sync", &name, e))?;
-                inner.appends_since_sync = 0;
-            }
-            if inner.cur.bytes >= self.cfg.segment_bytes {
-                let next = Self::create_segment(&self.storage, &self.cfg.retry, inner.cur.seq + 1)?;
-                let sealed = std::mem::replace(&mut inner.cur, next);
-                inner.sealed.push(sealed);
-            }
-            Ok(())
-        })();
-        if res.is_err() {
-            // Unlike the serial path there is nothing to roll back to:
-            // the group's commits are already visible, so removing their
-            // frames would leave a replay-order gap. Refuse everything.
-            inner.poisoned = true;
-        }
-        res
+        self.write_frames(&mut inner, ends.len() as u64, last_ts, OnFailure::Poison)
     }
 
     /// Drop every sealed segment whose batches are all covered by a
@@ -854,6 +805,7 @@ mod tests {
     use super::*;
     use crate::frame::WalOp;
     use crate::{FaultPlan, FaultStorage};
+    use std::time::Duration;
 
     fn batch(ts: u64) -> WalBatch {
         WalBatch {
@@ -1091,6 +1043,80 @@ mod tests {
         let (wal, replay) = open_mem(&view, WalConfig::default());
         assert!(replay.batches.len() <= 1);
         wal.append(&batch(replay.batches.len() as u64 + 1)).unwrap();
+    }
+
+    #[test]
+    fn failed_segment_roll_rolls_back_serial_and_poisons_group() {
+        // The 2nd frame fills segment 1; the disk budget admits that frame
+        // but not the next segment's 16-byte header, so the roll after it
+        // fails with ENOSPC — on either entry point.
+        let mut frame = Vec::new();
+        batch(1).encode_frame(&mut frame);
+        let full = SEGMENT_HEADER_BYTES + 2 * frame.len() as u64;
+        let cfg = WalConfig {
+            segment_bytes: full,
+            ..WalConfig::default()
+        };
+        let disk = || {
+            FaultStorage::new(
+                FaultPlan {
+                    enospc_after_bytes: Some(full + SEGMENT_HEADER_BYTES - 1),
+                    ..FaultPlan::default()
+                },
+                37,
+            )
+        };
+        let replayed = |storage: &FaultStorage| {
+            let (_, replay) = open_mem(&storage.crash_view(), cfg.clone());
+            assert!(replay.torn.is_none(), "{:?}", replay.torn);
+            replay
+                .batches
+                .iter()
+                .map(|b| b.commit_ts)
+                .collect::<Vec<u64>>()
+        };
+
+        // Serial: nothing is visible yet, so the frame is rolled back.
+        let storage = disk();
+        let (wal, _) = open_mem(&storage, cfg.clone());
+        wal.append(&batch(1)).unwrap();
+        match wal
+            .append(&batch(2))
+            .expect_err("the roll runs out of space")
+        {
+            WalError::Io { source, .. } => {
+                assert_eq!(source.kind(), io::ErrorKind::StorageFull)
+            }
+            other => panic!("expected a StorageFull I/O error, got {other}"),
+        }
+        assert!(
+            !storage.list().unwrap().contains(&segment_name(2)),
+            "a half-created segment was left behind"
+        );
+        assert_eq!(replayed(&storage), vec![1], "the failed frame is gone");
+        // Not poisoned: a record too small to fill the segment lands.
+        let small = WalBatch {
+            ops: Vec::new(),
+            ..batch(2)
+        };
+        wal.append(&small).unwrap();
+        assert_eq!(replayed(&storage), vec![1, 2]);
+
+        // Group: the flushed commits are visible, so the log poisons.
+        let storage = disk();
+        let (wal, _) = open_mem(&storage, cfg.clone());
+        let s1 = wal.enqueue(&batch(1)).unwrap();
+        wal.wait_durable(s1).unwrap();
+        let s2 = wal.enqueue(&batch(2)).unwrap();
+        assert!(matches!(wal.wait_durable(s2), Err(WalError::Poisoned)));
+        assert!(matches!(wal.enqueue(&batch(3)), Err(WalError::Poisoned)));
+        let ts = replayed(&storage);
+        assert_eq!(ts[..1], [1], "a flushed record was lost: {ts:?}");
+        assert_eq!(
+            ts,
+            (1..=ts.len() as u64).collect::<Vec<_>>(),
+            "not a prefix"
+        );
     }
 
     #[test]

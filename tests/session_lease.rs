@@ -157,10 +157,6 @@ fn session_churn_stress_ends_with_one_live_version() {
     assert_eq!(all.len(), PIDS);
 }
 
-// (The companion check that the deprecated raw-pid shims bypass the
-// registry lives in mvcc-core's own unit tests — no raw-pid transaction
-// calls belong outside that crate anymore.)
-
 /// A session leased, moved to another thread, used there and dropped
 /// there still returns its pid (Send semantics + cross-thread drop).
 #[test]
