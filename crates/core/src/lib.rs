@@ -67,9 +67,8 @@
 //!
 //! * [`Database::pool`] returns a [`SessionPool`] whose
 //!   [`acquire`](SessionPool::acquire) parks the caller on a FIFO wait
-//!   queue until a pid frees (a dropping session wakes exactly the front
-//!   waiter through the pid pool's release hook); `acquire_timeout`
-//!   bounds the wait.
+//!   queue until a pid frees (a dropping session releases its pid and
+//!   wakes exactly the front waiter); `acquire_timeout` bounds the wait.
 //! * [`Router`] shards keys over `N` independent databases by seeded
 //!   hash, for `N×P` aggregate capacity — `router.session(&tenant)`
 //!   leases (waiting, per shard) on the shard that tenant always maps to.
@@ -175,8 +174,8 @@ pub use mvcc_vm as vm;
 pub use mvcc_vm::LeaseError as SessionError;
 pub use mvcc_wal as wal;
 pub use pool::{
-    AcquireFuture, AcquireState, AcquireTimeout, AcquireTimeoutFuture, LeaseGuard, LeaseRevoked,
-    PoolStats, Router, SessionPool,
+    AcquireFuture, AcquireState, AcquireTimeout, LeaseGuard, LeaseRevoked, PoolStats, Router,
+    SessionPool,
 };
 pub use session::{Session, SessionReadGuard, WriteTxn};
 
@@ -212,8 +211,9 @@ pub struct Database<P: TreeParams, M: VersionMaintenance = PswfVm> {
     forest: Forest<P>,
     vmo: M,
     pids: PidPool,
-    /// FIFO wait queue for `pool().acquire()`; `Arc` because the pid
-    /// pool's release hook (a `'static` closure) holds the other ref.
+    /// FIFO wait queue for `pool().acquire()`, woken by
+    /// [`Database::release_pid`]; `Arc` because a queued [`AcquireState`]
+    /// holds a ref so it can surrender its ticket on drop.
     pub(crate) waiters: Arc<pool::WaitQueue>,
     /// Lease-deadline table for `pool().acquire_leased()`; one slot per
     /// pid, occupied while a `LeaseGuard` holds it.
@@ -249,17 +249,11 @@ impl<P: TreeParams, M: VersionMaintenance> Database<P, M> {
             "VM's initial version must be the empty tree"
         );
         let pids = PidPool::new(vmo.processes());
-        let waiters = Arc::new(pool::WaitQueue::new());
-        // Wake-on-release: a dropping `Session` releases its pid, and the
-        // pool's hook unparks the FIFO wait queue — `pool().acquire()`
-        // never polls.
-        let wake = Arc::clone(&waiters);
-        pids.add_release_hook(move |_pid| wake.notify());
         let leases = pool::LeaseRegistry::new(pids.processes());
         Database {
             forest: Forest::new(),
             pids,
-            waiters,
+            waiters: Arc::new(pool::WaitQueue::new()),
             leases,
             vmo,
             commits: AtomicU64::new(0),
@@ -280,6 +274,13 @@ impl<P: TreeParams, M: VersionMaintenance> Database<P, M> {
     pub fn session_for(&self, pid: usize) -> Result<Session<'_, P, M>, SessionError> {
         self.pids.lease_exact(pid)?;
         Ok(Session::new(self, pid))
+    }
+
+    /// Return `pid` to the pool, then wake the front admission waiter to
+    /// claim it — so `pool().acquire()` never polls.
+    pub(crate) fn release_pid(&self, pid: usize) {
+        self.pids.release(pid);
+        self.waiters.notify();
     }
 
     /// Number of currently leased sessions (racy snapshot, diagnostics).

@@ -8,11 +8,11 @@
 //!
 //! * [`SessionPool`] — admission control over one database's pid pool.
 //!   [`SessionPool::acquire`] parks the caller on a FIFO ticket queue
-//!   until a pid frees (a dropping [`Session`] wakes exactly the front
-//!   waiter through [`mvcc_vm::PidPool`]'s release hook — one `unpark`
-//!   per release, no stampede), so any number of client threads can
-//!   share `P` pids; [`SessionPool::acquire_timeout`] bounds the wait
-//!   and [`SessionPool::try_acquire`] keeps the non-blocking behavior.
+//!   until a pid frees (a dropping [`Session`] releases its pid and
+//!   then wakes exactly the front waiter — one wake per release, no
+//!   stampede), so any number of client threads can share `P` pids;
+//!   [`SessionPool::acquire_timeout`] bounds the wait and
+//!   [`SessionPool::try_acquire`] keeps the non-blocking behavior.
 //! * [`Router`] — a fixed-fanout shard router owning `N` independent
 //!   [`Database`] instances. Tenant/key-space identifiers map to shards
 //!   by seeded hash ([`Router::shard_for`] is stable for the router's
@@ -34,13 +34,13 @@
 //! of pending admissions cost a queue entry each, not a stack. The
 //! contract, point by point:
 //!
-//! * **One queue, one order.** Sync and async waiters draw tickets from
-//!   the same monotone dispenser and are served strictly
-//!   first-come-first-served; mixing the two modes cannot reorder
-//!   admission.
+//! * **One queue, one order.** Every waiter is a [`Waker`] holding a
+//!   ticket from one monotone dispenser; a parked thread is simply a
+//!   waker that unparks it. Sync and async waiters are therefore served
+//!   strictly first-come-first-served, and mixing the two modes cannot
+//!   reorder admission.
 //! * **One wake per release.** A dropping [`Session`] wakes exactly the
-//!   front waiter (unpark for a thread, `Waker::wake` for a task) — no
-//!   thundering herd in either mode.
+//!   front waiter — no thundering herd in either mode.
 //! * **Cancellation hands off.** Dropping a pending [`AcquireFuture`]
 //!   surrenders its ticket; if the dropped waiter was the front (so a
 //!   release's single wake may have been spent on it), the wake is
@@ -100,7 +100,7 @@ use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
-use std::thread::Thread;
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use mvcc_ftree::TreeParams;
@@ -128,54 +128,31 @@ impl std::fmt::Display for AcquireTimeout {
 
 impl std::error::Error for AcquireTimeout {}
 
-/// The parking-based FIFO wait queue behind [`SessionPool::acquire`].
-/// One per [`Database`]; every `SessionPool` handle on that database
-/// shares it, so fairness is global across handles.
+/// The FIFO wait queue behind [`SessionPool::acquire`] and
+/// [`SessionPool::poll_acquire`]. One per [`Database`]; every
+/// `SessionPool` handle on that database shares it, so fairness is
+/// global across handles.
 ///
-/// Each queue entry carries its waiter's [`Thread`] handle, and every
-/// wake targets exactly the queue's front via `unpark` — a freed pid
-/// costs one wake-up regardless of how many waiters are parked (a
-/// condvar `notify_all` here would stampede all `W` waiters per release,
-/// O(W²) wake-ups to drain the queue in exactly the oversubscribed
-/// regime the pool exists for). `unpark`'s saved-permit semantics close
-/// the wake/park race: an unpark landing between a waiter's failed lease
-/// attempt and its `park()` makes that park return immediately.
+/// Each queue entry carries its waiter's [`Waker`], and every wake
+/// targets exactly the queue's front — a freed pid costs one wake-up
+/// regardless of how many waiters are parked (a condvar `notify_all`
+/// here would stampede all `W` waiters per release, O(W²) wake-ups to
+/// drain the queue in exactly the oversubscribed regime the pool exists
+/// for). A parked thread's waker is a [`ThreadWaker`], whose `unpark`
+/// saved-permit semantics close the wake/park race: a wake landing
+/// between a failed lease attempt and the `park()` makes that park
+/// return immediately.
 pub(crate) struct WaitQueue {
     inner: Mutex<QueueInner>,
-}
-
-/// How a queued waiter is told "you are front; re-check for a pid".
-///
-/// The sync path ([`SessionPool::acquire`]) parks an OS thread and is
-/// woken by `unpark`; the async path ([`SessionPool::poll_acquire`])
-/// registers the polling task's [`Waker`]. Both share one queue, one
-/// ticket dispenser and therefore one strict FIFO order — a release
-/// wakes whichever kind is at the front, exactly once.
-enum WakeHandle {
-    /// A parked client thread (`unpark`'s saved-permit semantics close
-    /// the wake/park race for this arm).
-    Thread(Thread),
-    /// An async task; `Waker::wake_by_ref` schedules its next poll. A
-    /// woken-but-not-yet-polled future that is dropped forwards the
-    /// stolen wake from its `Drop` (see [`AcquireState`]).
-    Task(Waker),
-}
-
-impl WakeHandle {
-    fn wake(&self) {
-        match self {
-            WakeHandle::Thread(t) => t.unpark(),
-            WakeHandle::Task(w) => w.wake_by_ref(),
-        }
-    }
 }
 
 struct Waiter {
     /// Ticket from the monotone dispenser; FIFO position key.
     ticket: u64,
     /// Woken when this waiter reaches the front (or was front already)
-    /// and should re-check for a pid.
-    wake: WakeHandle,
+    /// and should re-check for a pid. A woken-but-not-yet-polled waiter
+    /// that is dropped forwards the stolen wake (see [`AcquireState`]).
+    waker: Waker,
 }
 
 struct QueueInner {
@@ -189,7 +166,7 @@ impl QueueInner {
     /// Wake the waiter currently at the front, if any.
     fn wake_front(&self) {
         if let Some(w) = self.queue.front() {
-            w.wake.wake();
+            w.waker.wake_by_ref();
         }
     }
 }
@@ -211,9 +188,9 @@ impl WaitQueue {
     }
 
     /// A pid freed: wake the front waiter to claim it. Taking the queue
-    /// lock is load-bearing even though `unpark`/`wake` itself never
-    /// loses a wake: it orders this notify against waiters mid-enqueue,
-    /// so the front we see is the front that exists.
+    /// lock is load-bearing even though a wake itself is never lost: it
+    /// orders this notify against waiters mid-enqueue, so the front we
+    /// see is the front that exists.
     pub(crate) fn notify(&self) {
         self.lock().wake_front();
     }
@@ -223,8 +200,8 @@ impl WaitQueue {
         self.lock().queue.len()
     }
 
-    /// Surrender `ticket`'s place in the queue (timeout expiry or an
-    /// [`AcquireFuture`] dropped while pending). If the abandoned slot
+    /// Surrender `ticket`'s place in the queue (deadline expiry or an
+    /// [`AcquireState`] dropped while pending). If the abandoned slot
     /// was the front, a release may already have targeted it — forward
     /// that possibly-stolen wake to the new front so the queue cannot
     /// stall.
@@ -243,7 +220,7 @@ impl WaitQueue {
 ///
 /// Obtain with [`Database::pool`]. The pool is a borrowed handle
 /// (`Copy`); all handles on one database share one FIFO wait queue, and
-/// a dropping [`Session`] wakes it via the pid pool's release hook —
+/// a dropping [`Session`] wakes its front after releasing the pid —
 /// there is no polling.
 pub struct SessionPool<'db, P: TreeParams, M: VersionMaintenance = PswfVm> {
     db: &'db Database<P, M>,
@@ -284,7 +261,7 @@ impl<'db, P: TreeParams, M: VersionMaintenance> SessionPool<'db, P, M> {
     /// pid is free; the returned [`Session`] re-wakes the queue when it
     /// drops. See the module docs for the fairness contract.
     pub fn acquire(&self) -> Session<'db, P, M> {
-        match self.acquire_inner(None) {
+        match self.wait(AcquireState::default()) {
             Ok(session) => session,
             Err(_) => unreachable!("untimed acquire cannot time out"),
         }
@@ -292,8 +269,10 @@ impl<'db, P: TreeParams, M: VersionMaintenance> SessionPool<'db, P, M> {
 
     /// [`SessionPool::acquire`] with a bounded wait: `Err(AcquireTimeout)`
     /// if no pid freed (or the queue ahead did not drain) in `timeout`.
+    /// A free pid at the front of the queue is taken even with a zero
+    /// `timeout`; a timeout too large for an [`Instant`] waits forever.
     pub fn acquire_timeout(&self, timeout: Duration) -> Result<Session<'db, P, M>, AcquireTimeout> {
-        self.acquire_inner(Some(timeout))
+        self.wait(AcquireState::with_timeout(timeout))
     }
 
     /// Non-blocking lease — exactly [`Database::session`]: takes a free
@@ -303,56 +282,15 @@ impl<'db, P: TreeParams, M: VersionMaintenance> SessionPool<'db, P, M> {
         self.db.session()
     }
 
-    fn acquire_inner(
-        &self,
-        timeout: Option<Duration>,
-    ) -> Result<Session<'db, P, M>, AcquireTimeout> {
-        let db = self.db;
+    /// The one sync wait: poll the queue from this thread, parking
+    /// between polls until the deadline if `state` has one.
+    fn wait(&self, mut state: AcquireState) -> Result<Session<'db, P, M>, AcquireTimeout> {
         // A zero-pid database cannot be constructed (the VM constructors
         // require at least one process), so the wait below always has a
         // pid that can eventually free.
-        debug_assert!(db.processes() > 0);
-        let wq = &db.waiters;
-        let start = Instant::now();
-        let deadline = timeout.map(|t| start + t);
-        let mut inner = wq.lock();
-        let me = inner.next_ticket;
-        inner.next_ticket += 1;
-        inner.queue.push_back(Waiter {
-            ticket: me,
-            wake: WakeHandle::Thread(std::thread::current()),
-        });
-        loop {
-            // Only the queue's front may take a pid: FIFO by construction.
-            if inner.queue.front().map(|w| w.ticket) == Some(me) {
-                if let Ok(pid) = db.pids.lease() {
-                    inner.queue.pop_front();
-                    // Several pids may have freed while we were parked
-                    // (their wakes all targeted us, coalescing into one
-                    // permit); hand the new front its chance immediately.
-                    inner.wake_front();
-                    drop(inner);
-                    return Ok(Session::new(db, pid));
-                }
-            }
-            drop(inner);
-            match deadline {
-                None => std::thread::park(),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        // Surrender the slot; if it was blocking the
-                        // queue's progress the new front gets re-checked.
-                        wq.cancel(me);
-                        return Err(AcquireTimeout {
-                            waited: start.elapsed(),
-                        });
-                    }
-                    std::thread::park_timeout(d - now);
-                }
-            }
-            inner = wq.lock();
-        }
+        debug_assert!(self.db.processes() > 0);
+        let deadline = state.deadline;
+        park_until_ready(deadline, |cx| self.poll_acquire_deadline(cx, &mut state))
     }
 
     /// Begin an **async** lease: a [`Future`] resolving to a [`Session`]
@@ -362,8 +300,7 @@ impl<'db, P: TreeParams, M: VersionMaintenance> SessionPool<'db, P, M> {
     ///
     /// The future is executor-agnostic (no runtime dependency): it
     /// parks a [`Waker`], and a dropping [`Session`] wakes exactly the
-    /// front waiter through the pid pool's release hook — one wake per
-    /// release, whether the front is a parked thread or a task.
+    /// front waiter — one wake per release, whoever is at the front.
     /// Dropping the future while it is still queued surrenders its
     /// ticket and forwards any wake that already targeted it to the
     /// next waiter, so cancellation can never strand the queue.
@@ -420,15 +357,13 @@ impl<'db, P: TreeParams, M: VersionMaintenance> SessionPool<'db, P, M> {
                 // Waker replacement: a future may migrate between tasks
                 // (e.g. `select!`-style composition); the wake must go
                 // to whoever polled last.
-                let w = inner
+                inner
                     .queue
                     .iter_mut()
                     .find(|w| w.ticket == ticket)
-                    .expect("registered ticket is always in the queue");
-                match &w.wake {
-                    WakeHandle::Task(old) if old.will_wake(cx.waker()) => {}
-                    _ => w.wake = WakeHandle::Task(cx.waker().clone()),
-                }
+                    .expect("registered ticket is always in the queue")
+                    .waker
+                    .clone_from(cx.waker());
                 ticket
             }
             _ => {
@@ -436,15 +371,14 @@ impl<'db, P: TreeParams, M: VersionMaintenance> SessionPool<'db, P, M> {
                 inner.next_ticket += 1;
                 inner.queue.push_back(Waiter {
                     ticket,
-                    wake: WakeHandle::Task(cx.waker().clone()),
+                    waker: cx.waker().clone(),
                 });
                 state.queue = Some(Arc::clone(wq));
                 state.ticket = Some(ticket);
                 ticket
             }
         };
-        // Only the queue's front may take a pid: FIFO by construction
-        // (same discipline as the sync path — the two share the queue).
+        // Only the queue's front may take a pid: FIFO by construction.
         if inner.queue.front().map(|w| w.ticket) == Some(me) {
             if let Ok(pid) = db.pids.lease() {
                 inner.queue.pop_front();
@@ -461,11 +395,14 @@ impl<'db, P: TreeParams, M: VersionMaintenance> SessionPool<'db, P, M> {
         Poll::Pending
     }
 
-    /// [`SessionPool::poll_acquire`] with an admission deadline: once
-    /// `state`'s deadline has passed, the ticket is surrendered through
-    /// the same wait-queue cancellation path a dropped future uses
-    /// (wake-forwarding included — an expiring front waiter cannot
-    /// stall the queue) and the poll resolves `Err(AcquireTimeout)`.
+    /// [`SessionPool::poll_acquire`] with an admission deadline: a poll
+    /// that cannot lease a pid once `state`'s deadline has passed
+    /// surrenders the ticket through the same wait-queue cancellation
+    /// path a dropped future uses (wake-forwarding included — an
+    /// expiring front waiter cannot stall the queue) and resolves
+    /// `Err(AcquireTimeout)`. The lease attempt comes first, so a
+    /// waiter at the front with a free pid is served even at its
+    /// deadline.
     ///
     /// Expiry is *observed at poll time*: no timer fires, so a pending
     /// admission past its deadline stays queued until the driving loop
@@ -481,36 +418,20 @@ impl<'db, P: TreeParams, M: VersionMaintenance> SessionPool<'db, P, M> {
         state: &mut AcquireState,
     ) -> Poll<Result<Session<'db, P, M>, AcquireTimeout>> {
         let started = *state.started.get_or_insert_with(Instant::now);
-        if let Some(d) = state.deadline {
-            if Instant::now() >= d {
-                // Surrender the slot exactly as Drop would; `ticket`
-                // survives for admission-order audits.
-                if let (Some(wq), Some(ticket)) = (state.queue.take(), state.ticket) {
-                    wq.cancel(ticket);
-                }
-                return Poll::Ready(Err(AcquireTimeout {
-                    waited: started.elapsed(),
-                }));
+        if let Poll::Ready(session) = self.poll_acquire(cx, state) {
+            return Poll::Ready(Ok(session));
+        }
+        if state.deadline.is_some_and(|d| Instant::now() >= d) {
+            // Surrender the slot exactly as Drop would; `ticket`
+            // survives for admission-order audits.
+            if let (Some(wq), Some(ticket)) = (state.queue.take(), state.ticket) {
+                wq.cancel(ticket);
             }
+            return Poll::Ready(Err(AcquireTimeout {
+                waited: started.elapsed(),
+            }));
         }
-        self.poll_acquire(cx, state).map(Ok)
-    }
-
-    /// Async [`SessionPool::acquire_timeout`]: a future resolving to
-    /// `Ok(session)` in FIFO order, or `Err(AcquireTimeout)` once
-    /// `timeout` elapses without a pid.
-    ///
-    /// The deadline is checked at each poll (see
-    /// [`SessionPool::poll_acquire_deadline`] for the no-timer
-    /// contract): an executor that only wakes the future on pool
-    /// releases will not notice the expiry until something polls it,
-    /// so pair the future with a periodic tick when expiry must be
-    /// prompt.
-    pub fn acquire_async_timeout(&self, timeout: Duration) -> AcquireTimeoutFuture<'db, P, M> {
-        AcquireTimeoutFuture {
-            pool: *self,
-            state: AcquireState::with_deadline(Instant::now() + timeout),
-        }
+        Poll::Pending
     }
 
     /// Point-in-time admission gauges (each field a racy snapshot):
@@ -599,8 +520,8 @@ impl<'db, P: TreeParams, M: VersionMaintenance> SessionPool<'db, P, M> {
             {
                 *slot = None;
                 // Idle ⇒ the holder has no acquired version, so the pid
-                // is safe to hand out; release wakes the wait queue.
-                db.pids.release(pid);
+                // is safe to hand out; releasing it wakes the wait queue.
+                db.release_pid(pid);
                 reaped += 1;
             }
         }
@@ -865,6 +786,19 @@ impl AcquireState {
         }
     }
 
+    /// An unregistered state whose admission expires `timeout` from now
+    /// (see [`AcquireState::with_deadline`]). A `timeout` too large for
+    /// an [`Instant`] means no deadline: the admission waits forever.
+    pub fn with_timeout(timeout: Duration) -> Self {
+        let now = Instant::now();
+        AcquireState {
+            queue: None,
+            ticket: None,
+            deadline: now.checked_add(timeout),
+            started: Some(now),
+        }
+    }
+
     /// The FIFO ticket drawn by the first poll (`None` only before it).
     /// Tickets are handed out in arrival order and survive resolution,
     /// so admission order can be audited against them.
@@ -932,45 +866,13 @@ impl<P: TreeParams, M: VersionMaintenance> std::fmt::Debug for AcquireFuture<'_,
     }
 }
 
-/// The future returned by [`SessionPool::acquire_async_timeout`]:
-/// FIFO admission like [`AcquireFuture`], but resolves
-/// `Err(AcquireTimeout)` once its deadline is observed past at a poll.
-/// Dropping it pending surrenders its ticket like any other waiter.
-pub struct AcquireTimeoutFuture<'db, P: TreeParams, M: VersionMaintenance = PswfVm> {
-    pool: SessionPool<'db, P, M>,
-    state: AcquireState,
-}
+/// Waker that unparks the thread it was made on: how a parked thread
+/// waits in the same queue as a task.
+struct ThreadWaker(Thread);
 
-impl<'db, P: TreeParams, M: VersionMaintenance> AcquireTimeoutFuture<'db, P, M> {
-    /// The FIFO ticket drawn by this future's first poll (`None` only
-    /// before it).
-    pub fn ticket(&self) -> Option<u64> {
-        self.state.ticket()
-    }
-
-    /// The admission deadline this future expires at.
-    pub fn deadline(&self) -> Instant {
-        self.state
-            .deadline()
-            .expect("acquire_async_timeout always sets a deadline")
-    }
-}
-
-impl<'db, P: TreeParams, M: VersionMaintenance> Future for AcquireTimeoutFuture<'db, P, M> {
-    type Output = Result<Session<'db, P, M>, AcquireTimeout>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        this.pool.poll_acquire_deadline(cx, &mut this.state)
-    }
-}
-
-impl<P: TreeParams, M: VersionMaintenance> std::fmt::Debug for AcquireTimeoutFuture<'_, P, M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AcquireTimeoutFuture")
-            .field("ticket", &self.ticket())
-            .field("deadline", &self.deadline())
-            .finish()
+impl std::task::Wake for ThreadWaker {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
     }
 }
 
@@ -978,28 +880,27 @@ impl<P: TreeParams, M: VersionMaintenance> std::fmt::Debug for AcquireTimeoutFut
 /// between polls — the minimal executor. Enough to use
 /// [`SessionPool::acquire_async`] from synchronous code and tests; the
 /// `mvcc-net` server brings its own readiness loop instead.
-///
-/// It re-polls only when woken, so a *poll-observed* deadline —
-/// [`SessionPool::acquire_async_timeout`] on a pool nothing releases —
-/// never fires under it: there is no timer to produce the wake. From
-/// synchronous code use [`SessionPool::acquire_timeout`] (its parked
-/// thread times out on its own); reserve the deadline future for
-/// executors with a periodic tick.
 pub fn block_on<F: Future>(fut: F) -> F::Output {
-    /// Waker that unparks the blocked thread.
-    struct ThreadWaker(Thread);
-    impl std::task::Wake for ThreadWaker {
-        fn wake(self: Arc<Self>) {
-            self.0.unpark();
-        }
-    }
-    let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
-    let mut cx = Context::from_waker(&waker);
     let mut fut = std::pin::pin!(fut);
+    park_until_ready(None, |cx| fut.as_mut().poll(cx))
+}
+
+/// Poll with this thread's [`ThreadWaker`] until `poll` is ready,
+/// parking between polls (no longer than until `deadline`, if given,
+/// so a poll can observe it).
+fn park_until_ready<T>(
+    deadline: Option<Instant>,
+    mut poll: impl FnMut(&mut Context<'_>) -> Poll<T>,
+) -> T {
+    let waker = Waker::from(Arc::new(ThreadWaker(thread::current())));
+    let mut cx = Context::from_waker(&waker);
     loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(out) => return out,
-            Poll::Pending => std::thread::park(),
+        if let Poll::Ready(out) = poll(&mut cx) {
+            return out;
+        }
+        match deadline {
+            None => thread::park(),
+            Some(d) => thread::park_timeout(d.saturating_duration_since(Instant::now())),
         }
     }
 }
@@ -1135,25 +1036,6 @@ impl<P: TreeParams, M: VersionMaintenance> Router<P, M> {
     /// one of that shard's pids frees.
     pub fn session<K: Hash + ?Sized>(&self, key: &K) -> Session<'_, P, M> {
         self.database_for(key).pool().acquire()
-    }
-
-    /// [`Router::session`] with a bounded wait.
-    pub fn session_timeout<K: Hash + ?Sized>(
-        &self,
-        key: &K,
-        timeout: Duration,
-    ) -> Result<Session<'_, P, M>, AcquireTimeout> {
-        self.database_for(key).pool().acquire_timeout(timeout)
-    }
-
-    /// Non-blocking lease on `key`'s shard (`Err(Exhausted)` when that
-    /// shard's pids are all out, even if other shards have capacity —
-    /// keys do not spill across shards).
-    pub fn try_session<K: Hash + ?Sized>(
-        &self,
-        key: &K,
-    ) -> Result<Session<'_, P, M>, SessionError> {
-        self.database_for(key).session()
     }
 
     /// Iterate the shards in index order — the cross-shard sweep for
@@ -1369,12 +1251,71 @@ mod tests {
     }
 
     #[test]
-    fn acquire_async_timeout_resolves_on_free_pid() {
+    fn poll_acquire_deadline_serves_a_free_pid_past_its_deadline() {
         let db: Database<U64Map> = Database::new(1);
         let pool = db.pool();
-        let mut s = block_on(pool.acquire_async_timeout(Duration::from_secs(5))).unwrap();
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut state = AcquireState::with_deadline(Instant::now());
+        std::thread::sleep(Duration::from_millis(1));
+        // The lease attempt runs before the expiry check.
+        match pool.poll_acquire_deadline(&mut cx, &mut state) {
+            Poll::Ready(Ok(s)) => drop(s),
+            other => panic!("expected a session, got ready={}", other.is_ready()),
+        }
+        assert_eq!(pool.waiters(), 0);
+        assert_eq!(db.sessions_leased(), 0);
+    }
+
+    #[test]
+    fn zero_timeout_takes_a_free_pid_and_fails_cleanly_on_a_full_pool() {
+        let db: Database<U64Map> = Database::new(1);
+        let pool = db.pool();
+        let held = pool
+            .acquire_timeout(Duration::ZERO)
+            .expect("a free pid is taken even with no time to wait");
+        assert!(pool.acquire_timeout(Duration::ZERO).is_err());
+        assert_eq!(pool.waiters(), 0, "expired waiter left the queue");
+        drop(held);
+        assert_eq!(db.sessions_leased(), 0);
+    }
+
+    #[test]
+    fn huge_timeout_means_no_deadline() {
+        let db: Database<U64Map> = Database::new(1);
+        let pool = db.pool();
+        let mut s = pool.acquire_timeout(Duration::MAX).unwrap();
         s.insert(1, 1);
         drop(s);
+        assert_eq!(AcquireState::with_timeout(Duration::MAX).deadline(), None);
+        assert_eq!(db.sessions_leased(), 0);
+    }
+
+    #[test]
+    fn parked_acquire_is_woken_by_exact_pid_drop_and_by_reaping() {
+        let db: Database<U64Map> = Database::new(1);
+        let pool = db.pool();
+        let woken_by = |free: &dyn Fn()| {
+            std::thread::scope(|s| {
+                let waiter = s.spawn(|| pool.acquire().pid());
+                while pool.waiters() == 0 {
+                    std::thread::yield_now();
+                }
+                free();
+                assert_eq!(waiter.join().unwrap(), 0);
+            });
+        };
+        // (a) A `session_for` session (leased through `lease_exact`,
+        // not the freelist pop) wakes the queue when it drops.
+        let exact = std::cell::Cell::new(Some(db.session_for(0).unwrap()));
+        woken_by(&|| drop(exact.take()));
+        // (b) Reaping an idle lease releases the pid without the guard.
+        let guard = pool.acquire_leased(Duration::from_millis(1));
+        woken_by(&|| {
+            std::thread::sleep(Duration::from_millis(5));
+            assert_eq!(pool.reap_expired(), 1);
+        });
+        assert!(guard.is_revoked());
+        drop(guard);
         assert_eq!(db.sessions_leased(), 0);
     }
 

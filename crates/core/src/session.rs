@@ -296,7 +296,7 @@ impl<P: TreeParams, M: VersionMaintenance> Drop for Session<'_, P, M> {
             reads: self.reads,
         });
         if !self.revoked {
-            self.db.pids.release(self.pid);
+            self.db.release_pid(self.pid);
         }
     }
 }

@@ -599,10 +599,10 @@ impl Server {
                             progress = true;
                             continue;
                         }
-                        let state = match self.config.request_deadline {
-                            Some(d) => AcquireState::with_deadline(Instant::now() + d),
-                            None => AcquireState::default(),
-                        };
+                        let state = self
+                            .config
+                            .request_deadline
+                            .map_or_else(AcquireState::default, AcquireState::with_timeout);
                         slot.pending = Some(Admission {
                             state,
                             req,

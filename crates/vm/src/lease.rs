@@ -43,18 +43,18 @@
 //! freelist on [`FREELIST_HEAD_LOAD`]/[`FREELIST_CAS`]/
 //! [`FREELIST_LINK`], the classic tagged-Treiber pairing. No StoreLoad
 //! window exists here: a popper that misses a just-pushed pid returns
-//! `Exhausted`, which the waiting layers above (`mvcc-core`'s session
-//! pool) already treat as "park and retry after the mutex-mediated
-//! release hook" — the retry synchronizes through that mutex. The pure
+//! `Exhausted`, which the waiting layer above (`mvcc-core`'s session
+//! pool) already treats as "park and retry": its release path wakes the
+//! front waiter under the wait queue's mutex once `release` returns, and
+//! the retry synchronizes through that mutex. The pure
 //! diagnostic counters ([`PidPool::leased`] / [`PidPool::is_leased`])
 //! read with `Relaxed` (stats only, never decisions).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use crate::ordering::{
-    CAS_FAILURE, FREELIST_CAS, FREELIST_HEAD_LOAD, FREELIST_LINK, HOOK_FLAG_READ, HOOK_FLAG_SET,
-    LEASE_CAS, LEASE_RELEASE_STORE, LEASE_STATE_LOAD,
+    CAS_FAILURE, FREELIST_CAS, FREELIST_HEAD_LOAD, FREELIST_LINK, LEASE_CAS, LEASE_RELEASE_STORE,
+    LEASE_STATE_LOAD,
 };
 
 const NIL: u32 = u32::MAX;
@@ -112,23 +112,12 @@ struct PidSlot {
     next: AtomicU32,
 }
 
-/// Callback invoked (with the freed pid) after every [`PidPool::release`].
-pub type ReleaseHook = Box<dyn Fn(usize) + Send + Sync>;
-
 /// A lock-free pool of `0..processes` leasable process ids.
 pub struct PidPool {
     /// Tagged Treiber head: `(tag << 32) | pid`, [`NIL`] when empty. The
     /// tag increments on every successful CAS, guarding against ABA.
     head: AtomicU64,
     slots: Box<[PidSlot]>,
-    /// `true` once any hook is registered: the release path reads this
-    /// single flag before touching the hook lock, so a hook-less pool's
-    /// release (and always its lease) stays lock- and allocation-free.
-    has_hooks: AtomicBool,
-    /// Wake-on-release callbacks (session pools parked on exhaustion).
-    /// Write-locked only by [`PidPool::add_release_hook`]; the release
-    /// path takes the read side, which never blocks hook readers.
-    hooks: RwLock<Vec<ReleaseHook>>,
 }
 
 impl PidPool {
@@ -146,36 +135,6 @@ impl PidPool {
         PidPool {
             head: AtomicU64::new(if processes == 0 { NIL as u64 } else { 0 }),
             slots,
-            has_hooks: AtomicBool::new(false),
-            hooks: RwLock::new(Vec::new()),
-        }
-    }
-
-    /// Register a callback to run after every [`PidPool::release`], with
-    /// the freed pid. This is the wake-up wire for waiting-mode session
-    /// pools: a parked `acquire` learns a pid freed without polling.
-    ///
-    /// Hooks must not call back into the pool's lease/release API (they
-    /// run on the releasing thread, inside its release call) and should
-    /// be cheap — typically a condvar notify. Registration is append-only
-    /// and may happen at any time; releases that race with it may or may
-    /// not see the new hook.
-    pub fn add_release_hook(&self, hook: impl Fn(usize) + Send + Sync + 'static) {
-        self.hooks
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Box::new(hook));
-        // HOOK_FLAG_SET: publishes the append above to HOOK_FLAG_READ.
-        self.has_hooks.store(true, HOOK_FLAG_SET);
-    }
-
-    /// Run the registered release hooks for `pid` (no-op without hooks:
-    /// one relaxed-ish atomic load, no lock).
-    fn notify_release(&self, pid: usize) {
-        if self.has_hooks.load(HOOK_FLAG_READ) {
-            for hook in self.hooks.read().unwrap_or_else(|e| e.into_inner()).iter() {
-                hook(pid);
-            }
         }
     }
 
@@ -307,8 +266,6 @@ impl PidPool {
     }
 
     /// Return a leased pid to the pool. The caller must be the holder.
-    /// Once the pid is back, any registered release hooks run (see
-    /// [`PidPool::add_release_hook`]).
     pub fn release(&self, pid: usize) {
         let slot = &self.slots[pid];
         loop {
@@ -341,7 +298,6 @@ impl PidPool {
                 _ => panic!("release of pid {pid} that is not leased"),
             }
         }
-        self.notify_release(pid);
     }
 }
 
@@ -409,44 +365,6 @@ mod tests {
             })
         );
         assert_eq!(pool.leased(), 0, "failed lease must not consume a pid");
-    }
-
-    #[test]
-    fn release_hooks_fire_with_the_freed_pid() {
-        use std::sync::Mutex;
-        let pool = PidPool::new(3);
-        let freed: std::sync::Arc<Mutex<Vec<usize>>> = Default::default();
-        // Releases before any registration run no hook.
-        let early = pool.lease().unwrap();
-        pool.release(early);
-        let log = std::sync::Arc::clone(&freed);
-        pool.add_release_hook(move |pid| log.lock().unwrap().push(pid));
-        let a = pool.lease().unwrap();
-        let b = pool.lease().unwrap();
-        pool.release(b);
-        pool.release(a);
-        // Both registered hooks observe every release, in call order.
-        let second = std::sync::Arc::clone(&freed);
-        pool.add_release_hook(move |pid| second.lock().unwrap().push(pid + 100));
-        pool.lease_exact(2).unwrap();
-        pool.release(2);
-        assert_eq!(*freed.lock().unwrap(), vec![b, a, 2, 102]);
-    }
-
-    #[test]
-    fn release_hook_fires_on_the_tombstone_path() {
-        use std::sync::atomic::AtomicUsize;
-        let pool = PidPool::new(2);
-        let fired = std::sync::Arc::new(AtomicUsize::new(0));
-        let f = std::sync::Arc::clone(&fired);
-        pool.add_release_hook(move |_| {
-            f.fetch_add(1, Ordering::SeqCst);
-        });
-        // `lease_exact` leaves the freelist entry as a tombstone; its
-        // release takes the RESERVED -> FREE arm, which must notify too.
-        pool.lease_exact(0).unwrap();
-        pool.release(0);
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -285,20 +285,6 @@ tunable! {
     FREELIST_LINK = Relaxed
 }
 
-tunable! {
-    /// **`Release`** — publishing "at least one release hook exists"
-    /// after appending the hook under the write lock.
-    HOOK_FLAG_SET = Release
-}
-
-tunable! {
-    /// **`Acquire`** — the release path's hook-presence check. Pairs
-    /// with [`HOOK_FLAG_SET`]; the hook vector itself is read under the
-    /// `RwLock`. Registration racing a release may or may not be seen —
-    /// the documented (and pre-existing) contract.
-    HOOK_FLAG_READ = Acquire
-}
-
 // ---------------------------------------------------------------------
 // Pinned roles — `SeqCst` in both builds. Each carries the proof
 // obligation that forbids weakening.
@@ -390,8 +376,6 @@ mod tests {
             FREELIST_HEAD_LOAD,
             FREELIST_CAS,
             FREELIST_LINK,
-            HOOK_FLAG_SET,
-            HOOK_FLAG_READ,
         ];
         if STRICT_SC {
             assert!(tunables.iter().all(|&o| o == Ordering::SeqCst));

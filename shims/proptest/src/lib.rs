@@ -468,16 +468,18 @@ macro_rules! prop_assume {
 }
 
 /// The property-test entry point. Supports the forms used in this
-/// workspace:
+/// workspace (in a test module, mark each `fn` `#[test]`):
 ///
-/// ```ignore
+/// ```
+/// use proptest::prelude::*;
+///
 /// proptest! {
 ///     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-///     #[test]
 ///     fn my_property(x in 0u64..100, ys in prop::collection::vec(any::<bool>(), 1..10)) {
-///         prop_assert!(x < 100);
+///         prop_assert!(x < 100 && !ys.is_empty());
 ///     }
 /// }
+/// my_property();
 /// ```
 #[macro_export]
 macro_rules! proptest {

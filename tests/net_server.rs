@@ -355,6 +355,29 @@ fn queued_request_past_its_deadline_is_shed_and_the_conn_survives() {
     assert_eq!(router.sessions_leased(), 0);
 }
 
+/// A `request_deadline` too large for an `Instant` means no deadline,
+/// not an overflow panic on the loop thread at the first admission.
+#[test]
+fn huge_request_deadline_admits_instead_of_overflowing() {
+    let router: Arc<Router<U64Map>> = Arc::new(Router::new(1, 1));
+    let handle = Server::start_with(
+        Arc::clone(&router),
+        "127.0.0.1:0",
+        ServerConfig {
+            request_deadline: Some(Duration::MAX),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert_eq!(client.get(1).unwrap(), None);
+    drop(client);
+    let stats = handle.server().stats();
+    handle.shutdown().unwrap();
+    assert_eq!(stats.deadline_expired, 0);
+    assert_eq!(router.sessions_leased(), 0);
+}
+
 /// The unbounded baseline the deadline exists to fix: with the default
 /// (fully permissive) config, a request against a camped pool is not
 /// answered until the camper lets go — its wait is exactly as long as
