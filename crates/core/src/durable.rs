@@ -322,13 +322,6 @@ impl DurableStats {
             self.batches_flushed as f64 / self.groups_flushed as f64
         }
     }
-
-    /// Mean wall-clock time per group flush.
-    pub fn mean_flush(&self) -> Duration {
-        self.flush_ns_total
-            .checked_div(self.groups_flushed)
-            .map_or(Duration::ZERO, Duration::from_nanos)
-    }
 }
 
 /// When the durability maintenance supervisor checkpoints, how hard it
@@ -336,7 +329,7 @@ impl DurableStats {
 ///
 /// Drives [`DurableDatabase::maintenance_tick`] — either from the
 /// dedicated thread of [`DurableDatabase::start_maintenance`] or embedded
-/// in a caller's own periodic loop (mvcc-net's server tick). A checkpoint
+/// in a caller's own periodic loop. A checkpoint
 /// is due when the WAL footprint reaches
 /// [`wal_bytes_threshold`](MaintenancePolicy::wal_bytes_threshold) *or*
 /// [`interval`](MaintenancePolicy::interval) has elapsed since the last
@@ -396,12 +389,6 @@ impl MaintenancePolicy {
     /// This policy with a different backoff cap.
     pub fn with_max_backoff(mut self, cap: Duration) -> Self {
         self.max_backoff = cap;
-        self
-    }
-
-    /// This policy with a different checkpoint retention depth.
-    pub fn with_min_keep_checkpoints(mut self, keep: usize) -> Self {
-        self.min_keep_checkpoints = keep;
         self
     }
 
@@ -481,12 +468,6 @@ pub enum MaintenanceTick {
     /// now [`Health::Degraded`] and a backoff is armed.
     Failed,
 }
-
-/// The embeddable form of the supervisor: a shareable closure that runs
-/// one [`DurableDatabase::maintenance_tick`] and reports [`Health`].
-/// Produced by [`DurableDatabase::maintenance_hook`]; mvcc-net's server
-/// invokes one from its poll-loop tick.
-pub type MaintenanceHook = Arc<dyn Fn() -> Health + Send + Sync>;
 
 /// First failure backoff; doubles (with jitter) up to
 /// [`MaintenancePolicy::max_backoff`].
@@ -954,15 +935,8 @@ where
     /// image to still exist) — `last_commit_ts` then counts checkpoints
     /// rather than commits.
     pub fn checkpoint(&self) -> Result<u64, DurableError> {
-        self.checkpoint_with_keep(checkpoint::KEEP_CHECKPOINTS)
-    }
-
-    /// [`DurableDatabase::checkpoint`] with an explicit retention depth:
-    /// after the new image publishes, all but the newest `keep`
-    /// checkpoints are pruned (`keep` clamps to at least 1).
-    pub fn checkpoint_with_keep(&self, keep: usize) -> Result<u64, DurableError> {
         let session = self.db.pool().acquire();
-        self.checkpoint_session(session, keep)
+        self.checkpoint_session(session, checkpoint::KEEP_CHECKPOINTS)
     }
 
     fn checkpoint_session(
@@ -1037,9 +1011,7 @@ where
     /// path if so, and fold the outcome into [`DurableDatabase::health`]
     /// / [`DurableDatabase::maintenance_stats`].
     ///
-    /// Embeddable: call it from any periodic loop (mvcc-net's server
-    /// invokes it from its ~1ms poll tick via
-    /// [`DurableDatabase::maintenance_hook`]) or let
+    /// Embeddable: call it from any periodic loop, or let
     /// [`DurableDatabase::start_maintenance`] drive it from a dedicated
     /// thread — concurrent ticks coordinate through an in-flight guard,
     /// so the checkpoint work is never duplicated.
@@ -1187,23 +1159,6 @@ where
             join: Some(join),
         }
     }
-
-    /// The supervisor as an embeddable closure: each call runs one
-    /// [`DurableDatabase::maintenance_tick`] under `policy` and returns
-    /// the current [`Health`]. Hand it to a caller-owned periodic loop —
-    /// mvcc-net's `Server::set_maintenance` drives one from its poll
-    /// tick — instead of (or alongside) the dedicated thread; the
-    /// in-flight guard keeps concurrent drivers from duplicating work.
-    pub fn maintenance_hook(self: &Arc<Self>, policy: MaintenancePolicy) -> MaintenanceHook
-    where
-        Self: Send + Sync,
-    {
-        let db = Arc::clone(self);
-        Arc::new(move || {
-            let _ = db.maintenance_tick(&policy);
-            db.health()
-        })
-    }
 }
 
 /// The background supervisor thread of
@@ -1260,11 +1215,6 @@ impl<'db, P: TreeParams, M: VersionMaintenance> DurableSession<'db, P, M> {
     /// The leased process id.
     pub fn pid(&self) -> usize {
         self.inner.pid()
-    }
-
-    /// The durable database this session writes to.
-    pub fn durable_database(&self) -> &'db DurableDatabase<P, M> {
-        self.dd
     }
 
     /// This session's transaction counters (see [`Session::stats`]).

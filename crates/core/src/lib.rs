@@ -164,8 +164,8 @@ use mvcc_vm::{PidPool, PswfVm, VersionMaintenance, VmKind};
 pub use batch::{BatchWriter, MapOp, SubmitError};
 pub use durable::{
     CommitAck, Durability, DurableConfig, DurableDatabase, DurableError, DurableSession,
-    DurableStats, DurableTxn, GroupCommit, Health, MaintenanceHandle, MaintenanceHook,
-    MaintenancePolicy, MaintenanceStats, MaintenanceTick, RecoveryReport,
+    DurableStats, DurableTxn, GroupCommit, Health, MaintenanceHandle, MaintenancePolicy,
+    MaintenanceStats, MaintenanceTick, RecoveryReport,
 };
 pub use mvcc_ftree as ftree;
 pub use mvcc_vm as vm;
@@ -173,10 +173,7 @@ pub use mvcc_vm as vm;
 /// the pool is exhausted or the requested pid is already leased.
 pub use mvcc_vm::LeaseError as SessionError;
 pub use mvcc_wal as wal;
-pub use pool::{
-    AcquireFuture, AcquireState, AcquireTimeout, LeaseGuard, LeaseRevoked, PoolStats, Router,
-    SessionPool,
-};
+pub use pool::{AcquireFuture, AcquireState, AcquireTimeout, PoolStats, Router, SessionPool};
 pub use session::{Session, SessionReadGuard, WriteTxn};
 
 #[inline]
@@ -215,9 +212,6 @@ pub struct Database<P: TreeParams, M: VersionMaintenance = PswfVm> {
     /// [`Database::release_pid`]; `Arc` because a queued [`AcquireState`]
     /// holds a ref so it can surrender its ticket on drop.
     pub(crate) waiters: Arc<pool::WaitQueue>,
-    /// Lease-deadline table for `pool().acquire_leased()`; one slot per
-    /// pid, occupied while a `LeaseGuard` holds it.
-    pub(crate) leases: pool::LeaseRegistry,
     commits: AtomicU64,
     aborts: AtomicU64,
     reads: AtomicU64,
@@ -249,12 +243,10 @@ impl<P: TreeParams, M: VersionMaintenance> Database<P, M> {
             "VM's initial version must be the empty tree"
         );
         let pids = PidPool::new(vmo.processes());
-        let leases = pool::LeaseRegistry::new(pids.processes());
         Database {
             forest: Forest::new(),
             pids,
             waiters: Arc::new(pool::WaitQueue::new()),
-            leases,
             vmo,
             commits: AtomicU64::new(0),
             aborts: AtomicU64::new(0),

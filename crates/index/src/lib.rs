@@ -364,8 +364,9 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         let idx = std::sync::Arc::new(InvertedIndex::new(3));
         let mut writer = idx.session().unwrap();
-        // Every doc contains both terms 1 and 2, so the intersection size
-        // must always equal each posting-list length (atomicity witness).
+        // Every doc contains both terms 1 and 2, so within one snapshot
+        // the two posting lists have equal length and their intersection
+        // is all of either (atomicity witness).
         let stop = std::sync::Arc::new(AtomicBool::new(false));
         std::thread::scope(|s| {
             for _ in 0..2 {
@@ -374,12 +375,13 @@ mod tests {
                 s.spawn(move || {
                     let mut q = idx.session().unwrap();
                     while !stop.load(Ordering::Relaxed) {
-                        let df1 = q.doc_frequency(1);
-                        let hits = q.and_query(1, 2, usize::MAX);
-                        assert!(
-                            hits.len() <= df1 || df1 == 0,
-                            "query saw a partially-applied batch"
-                        );
+                        let (len1, len2, both) = q.database_session().read(|snap| {
+                            let p1 = snap.get(&1).map_or(&[][..], |pl| pl.postings());
+                            let p2 = snap.get(&2).map_or(&[][..], |pl| pl.postings());
+                            (p1.len(), p2.len(), intersect(p1, p2).len())
+                        });
+                        assert_eq!(len1, len2, "query saw a partially-applied batch");
+                        assert_eq!(both, len1, "query saw a partially-applied batch");
                     }
                 });
             }

@@ -94,12 +94,12 @@
 //! # handle.shutdown().unwrap();
 //! ```
 //!
-//! The server's scan loop runs a coarse maintenance tick (~1ms): it
-//! re-polls deadline-expired admissions, reaps idle connections
-//! (mid-pipeline connections are never reaped), samples the
-//! queue-depth high-water gauge into [`ServerStats`], and sweeps
-//! expired session leases on the router. See `server` module docs for
-//! the exact degradation contract.
+//! The server's scan loop runs a coarse tick (~1ms) that drives only
+//! what the server itself serves: it re-polls deadline-expired
+//! admissions, reaps idle connections (mid-pipeline connections are
+//! never reaped) and samples the queue-depth high-water gauge into
+//! [`ServerStats`]. See `server` module docs for the exact degradation
+//! contract.
 //!
 //! [`Router`]: mvcc_core::Router
 //! [`SessionPool::poll_acquire`]: mvcc_core::SessionPool::poll_acquire

@@ -19,10 +19,8 @@
 //! 4. admit each connection's next queued request (one in flight per
 //!    connection — responses stay in request order);
 //! 5. flush response bytes, reap finished connections;
-//! 6. every maintenance tick (~1ms), re-poll deadline-expired
-//!    admissions, reap idle connections, sample queue-depth gauges,
-//!    sweep expired session leases, and drive the installed
-//!    durability-maintenance hook ([`Server::set_maintenance`]);
+//! 6. every tick (~1ms), re-poll deadline-expired admissions, reap
+//!    idle connections and sample queue-depth gauges;
 //! 7. if nothing moved and nothing is woken, sleep until the nearest
 //!    pending deadline (capped at the idle-sleep floor, ~50µs).
 //!
@@ -65,7 +63,7 @@ use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use mvcc_core::pool::AcquireState;
-use mvcc_core::{Health, MaintenanceHook, Router, Session};
+use mvcc_core::{Router, Session};
 use mvcc_ftree::U64Map;
 
 use crate::conn::{Conn, Hangup};
@@ -79,9 +77,9 @@ use crate::proto::{ErrorCode, Request, Response, TxnOp};
 /// (the loop wakes on the nearest deadline, not a fixed timeout).
 const IDLE_SLEEP: Duration = Duration::from_micros(50);
 
-/// Coarse maintenance-tick period: deadline re-polls, idle reaping,
-/// gauge sampling and lease sweeps happen at this granularity — one
-/// clock read per tick, no per-connection or per-waiter timers.
+/// Coarse tick period: deadline re-polls, idle reaping and gauge
+/// sampling happen at this granularity — one clock read per tick, no
+/// per-connection or per-waiter timers.
 const TICK: Duration = Duration::from_millis(1);
 
 /// Keep at most this many admission-wait samples (oldest kept; the
@@ -114,12 +112,6 @@ pub struct ServerStats {
     /// Deepest per-shard admission queue ever observed (sampled at
     /// shed checks and every tick — a high-water gauge, not a sum).
     pub max_queue_depth: u64,
-    /// Times the installed durability-maintenance hook
-    /// ([`Server::set_maintenance`]) was driven by the loop's tick.
-    pub maintenance_ticks: u64,
-    /// Whether the last maintenance hook invocation reported
-    /// [`Health::Degraded`] — reclamation is stalled, commits are not.
-    pub maintenance_degraded: bool,
 }
 
 /// Overload-protection knobs for a [`Server`]. The default is fully
@@ -176,12 +168,6 @@ pub struct Server {
     deadline_expired: AtomicU64,
     reaped_idle: AtomicU64,
     max_queue_depth: AtomicU64,
-    maintenance_ticks: AtomicU64,
-    /// Durability-maintenance hook driven by the loop's tick, plus the
-    /// health its last invocation reported (see
-    /// [`Server::set_maintenance`]).
-    maintenance: Mutex<Option<MaintenanceHook>>,
-    maintenance_health: Mutex<Option<Health>>,
     /// Nanoseconds each admitted request waited between joining the
     /// admission queue and leasing its session — the async-path
     /// equivalent of `SessionPool::acquire` wait time.
@@ -248,9 +234,6 @@ impl Server {
             deadline_expired: AtomicU64::new(0),
             reaped_idle: AtomicU64::new(0),
             max_queue_depth: AtomicU64::new(0),
-            maintenance_ticks: AtomicU64::new(0),
-            maintenance: Mutex::new(None),
-            maintenance_health: Mutex::new(None),
             wait_samples: Mutex::new(Vec::new()),
         })
     }
@@ -312,30 +295,7 @@ impl Server {
             deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
             reaped_idle: self.reaped_idle.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            maintenance_ticks: self.maintenance_ticks.load(Ordering::Relaxed),
-            maintenance_degraded: self.maintenance_health().is_some_and(|h| h.is_degraded()),
         }
-    }
-
-    /// Install a durability-maintenance hook the loop drives from its
-    /// coarse tick (~1ms): typically
-    /// `DurableDatabase::maintenance_hook`, which embeds the
-    /// checkpoint/retention supervisor in this server's thread instead
-    /// of a dedicated one. The hook runs *between* request batches —
-    /// a checkpoint executes synchronously in the tick, so admission
-    /// pauses for its duration, but commits already queued on the WAL
-    /// flush independently. Installing replaces any previous hook.
-    pub fn set_maintenance(&self, hook: MaintenanceHook) {
-        *self.maintenance.lock().unwrap_or_else(|e| e.into_inner()) = Some(hook);
-    }
-
-    /// The health the maintenance hook reported on its last tick
-    /// (`None` until a hook is installed and has run once).
-    pub fn maintenance_health(&self) -> Option<Health> {
-        self.maintenance_health
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
     }
 
     /// Drain the recorded admission-wait samples (ns). The bench
@@ -447,7 +407,7 @@ impl Server {
                 }
             }
 
-            // 6. Coarse maintenance tick.
+            // 6. Coarse tick.
             let now = Instant::now();
             if now >= next_tick {
                 progress |= self.tick(router, &mut slots, &mut free, &mut last_ticket, now);
@@ -473,19 +433,15 @@ impl Server {
         Ok(())
     }
 
-    /// The coarse maintenance tick (every [`TICK`] of loop time):
+    /// The coarse tick (every [`TICK`] of loop time) drives only what
+    /// the server itself serves:
     ///
     /// * re-poll admissions whose deadline has passed — no release will
     ///   wake them, so the expiry must be *observed* here;
     /// * reap connections idle past [`ServerConfig::idle_timeout`]
     ///   (nothing buffered, parsed, pending or unflushed — a slow
     ///   mid-pipeline connection is never reaped);
-    /// * sample the per-shard admission-queue depth high-water gauge;
-    /// * sweep expired session leases on the router (other holders of
-    ///   the same router may lease with timeouts; the server's tick is
-    ///   the reaper that makes those deadlines real);
-    /// * drive the installed durability-maintenance hook and record
-    ///   the [`Health`] it reports ([`Server::set_maintenance`]).
+    /// * sample the per-shard admission-queue depth high-water gauge.
     fn tick(
         &self,
         router: &Router<U64Map>,
@@ -523,23 +479,6 @@ impl Server {
         }
         for shard in 0..router.shards() {
             self.note_queue_depth(router.with_shard(shard).pool().waiters());
-        }
-        router.reap_leases();
-        // Drive the durability-maintenance hook, if installed. The Arc
-        // is cloned out so the hook (which may run a checkpoint) never
-        // executes under the server's own lock.
-        let hook = self
-            .maintenance
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        if let Some(hook) = hook {
-            let health = hook();
-            self.maintenance_ticks.fetch_add(1, Ordering::Relaxed);
-            *self
-                .maintenance_health
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = Some(health);
         }
         progress
     }

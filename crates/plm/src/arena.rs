@@ -56,7 +56,7 @@
 //! generation field because the owner invariant guarantees
 //! `1 <= rc < 2^32` whenever an increment or decrement happens.
 
-use core::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use core::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
 
@@ -133,10 +133,6 @@ struct Shard {
     refill_lock: AtomicBool,
     allocated: AtomicU64,
     freed: AtomicU64,
-    /// May transiently dip negative when frees land on a different shard
-    /// than the matching allocs.
-    live: AtomicI64,
-    peak_live: AtomicI64,
 }
 
 impl Shard {
@@ -147,8 +143,6 @@ impl Shard {
             refill_lock: AtomicBool::new(false),
             allocated: AtomicU64::new(0),
             freed: AtomicU64::new(0),
-            live: AtomicI64::new(0),
-            peak_live: AtomicI64::new(0),
         }
     }
 }
@@ -231,13 +225,6 @@ pub struct ArenaStats {
     pub freed_total: u64,
     /// Currently allocated (not yet freed) slots.
     pub live: u64,
-    /// Sum of the per-shard high-water marks of `allocs − frees` as
-    /// observed by each shard. Exact when each shard's frees balance its
-    /// allocs (the affine/pinned pattern, and any single-threaded use);
-    /// when frees deliberately migrate to other shards the alloc-side
-    /// shards' marks never come down, so this inflates toward
-    /// `allocated_total` and is only a (possibly vacuous) upper bound.
-    pub peak_live: u64,
     /// Number of allocator shards.
     pub shards: u64,
 }
@@ -601,8 +588,6 @@ impl<T: Tuple> Arena<T> {
         slot.meta
             .store(OCCUPIED | (gen << GEN_SHIFT) | 1, Ordering::Release);
         shard.allocated.fetch_add(1, Ordering::Relaxed);
-        let live = shard.live.fetch_add(1, Ordering::Relaxed) + 1;
-        shard.peak_live.fetch_max(live, Ordering::Relaxed);
         id
     }
 
@@ -743,7 +728,6 @@ impl<T: Tuple> Arena<T> {
         }
         if freed > 0 {
             shard.freed.fetch_add(freed as u64, Ordering::Relaxed);
-            shard.live.fetch_sub(freed as i64, Ordering::Relaxed);
         }
         freed
     }
@@ -770,7 +754,6 @@ impl<T: Tuple> Arena<T> {
         let gen = ((meta & GEN_MASK) >> GEN_SHIFT).wrapping_add(1) & (GEN_MASK >> GEN_SHIFT);
         self.push_free_chain(shard, &[(id.0, gen)]);
         shard.freed.fetch_add(1, Ordering::Relaxed);
-        shard.live.fetch_sub(1, Ordering::Relaxed);
         value
     }
 
@@ -813,16 +796,10 @@ impl<T: Tuple> Arena<T> {
     pub fn stats(&self) -> ArenaStats {
         let allocated_total = self.allocated_total();
         let freed_total = self.freed_total();
-        let peak: i64 = self
-            .shards
-            .iter()
-            .map(|s| s.peak_live.load(Ordering::Relaxed).max(0))
-            .sum();
         ArenaStats {
             allocated_total,
             freed_total,
             live: allocated_total.saturating_sub(freed_total),
-            peak_live: peak as u64,
             shards: self.shards.len() as u64,
         }
     }
@@ -1067,7 +1044,6 @@ mod tests {
         }
         let stats = arena.stats();
         assert_eq!(stats.live, 0);
-        assert_eq!(stats.peak_live, 100);
     }
 
     #[test]

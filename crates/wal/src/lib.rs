@@ -148,9 +148,8 @@ pub struct WalConfig {
     pub retry: RetryPolicy,
     /// High watermark on the group-commit tail, in pending records
     /// (0 = unbounded). [`Wal::enqueue`] past it blocks — leading a
-    /// flush itself if none is in progress — and [`Wal::try_enqueue`]
-    /// returns [`WalError::Backpressure`], so the tail can never outrun
-    /// the disk without bound.
+    /// flush itself if none is in progress — so the tail can never
+    /// outrun the disk without bound.
     pub max_pending_batches: usize,
     /// High watermark on the group-commit tail, in encoded record bytes
     /// (0 = unbounded). Same backpressure contract as
@@ -208,12 +207,6 @@ pub enum WalError {
     /// after a crash. Re-open the log ([`Wal::open`]) to repair and
     /// resume.
     Poisoned,
-    /// The group-commit tail is at its configured watermark
-    /// ([`WalConfig::max_pending_batches`] /
-    /// [`WalConfig::max_pending_bytes`]) and the caller asked not to
-    /// block ([`Wal::try_enqueue`]). Nothing was enqueued; retry after a
-    /// flush drains the tail.
-    Backpressure,
 }
 
 impl std::fmt::Display for WalError {
@@ -236,12 +229,6 @@ impl std::fmt::Display for WalError {
                      re-open to repair"
                 )
             }
-            WalError::Backpressure => {
-                write!(
-                    f,
-                    "group-commit tail is at its watermark; retry after a flush drains it"
-                )
-            }
         }
     }
 }
@@ -250,7 +237,7 @@ impl std::error::Error for WalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             WalError::Io { source, .. } => Some(source),
-            WalError::Corrupt { .. } | WalError::Poisoned | WalError::Backpressure => None,
+            WalError::Corrupt { .. } | WalError::Poisoned => None,
         }
     }
 }

@@ -501,8 +501,7 @@ impl Wal {
     /// Is the pending tail at (or past) a configured high watermark?
     /// Under the red line any pending record counts as "at the
     /// watermark", so blocking enqueuers drain the tail themselves (one
-    /// flush per commit — disk speed) and [`Wal::try_enqueue`] reports
-    /// [`WalError::Backpressure`].
+    /// flush per commit — disk speed).
     fn over_watermark(&self, g: &GroupState) -> bool {
         let batches = self.cfg.max_pending_batches;
         let bytes = self.cfg.max_pending_bytes;
@@ -514,14 +513,12 @@ impl Wal {
     /// Engage (or clear) the disk-footprint **red line** and return the
     /// previous state. While engaged, the group-commit tail admits at
     /// most one pending record: every further enqueue blocks behind a
-    /// flush (or gets [`WalError::Backpressure`] from
-    /// [`Wal::try_enqueue`]), so commit throughput degrades to disk
-    /// speed instead of outrunning a reclamation path that has stopped
-    /// keeping up. The maintenance supervisor engages this when
-    /// `wal_bytes` crosses its policy's red-line threshold and clears it
-    /// once a checkpoint brings the footprint back down. Durability
-    /// semantics are untouched — this only narrows the coalescing
-    /// window.
+    /// flush, so commit throughput degrades to disk speed instead of
+    /// outrunning a reclamation path that has stopped keeping up. The
+    /// maintenance supervisor engages this when `wal_bytes` crosses its
+    /// policy's red-line threshold and clears it once a checkpoint
+    /// brings the footprint back down. Durability semantics are
+    /// untouched — this only narrows the coalescing window.
     pub fn set_redline(&self, on: bool) -> bool {
         let was = self.redline.swap(on, Ordering::Relaxed);
         if was && !on {
@@ -576,21 +573,6 @@ impl Wal {
                 g = self.group_cv.wait(g).unwrap_or_else(|e| e.into_inner());
             }
             g.stats.blocked_ns += t0.elapsed().as_nanos() as u64;
-        }
-        self.push_record(g, batch)
-    }
-
-    /// Non-blocking [`Wal::enqueue`]: at the watermark this returns
-    /// [`WalError::Backpressure`] immediately (nothing enqueued, nothing
-    /// blocked) instead of waiting for the flusher to drain the tail.
-    pub fn try_enqueue(&self, batch: &WalBatch) -> Result<u64, WalError> {
-        let mut g = self.group_lock();
-        if g.poisoned {
-            return Err(WalError::Poisoned);
-        }
-        if self.over_watermark(&g) {
-            g.stats.blocked_enqueues += 1;
-            return Err(WalError::Backpressure);
         }
         self.push_record(g, batch)
     }
@@ -875,17 +857,20 @@ mod tests {
         assert!(!wal.set_redline(true), "previously off");
         assert!(wal.redline());
         wal.enqueue(&batch(1)).unwrap(); // an empty tail always admits one
-        let err = wal.try_enqueue(&batch(2)).unwrap_err();
-        assert!(matches!(err, WalError::Backpressure));
-        // A blocking enqueue self-promotes to flush leader and proceeds
-        // at disk speed rather than deadlocking.
+        assert_eq!(wal.group_stats().blocked_enqueues, 0);
+        // The second record finds the narrowed watermark: the enqueue
+        // blocks, self-promotes to flush leader and proceeds at disk
+        // speed rather than deadlocking.
         let seq = wal.enqueue(&batch(2)).unwrap();
+        assert_eq!(wal.group_stats().blocked_enqueues, 1);
         wal.wait_durable(seq).unwrap();
-        assert!(wal.group_stats().blocked_enqueues >= 1);
-        // Clearing the red line restores the configured watermark.
+        // Clearing the red line restores the configured watermark: two
+        // records queue without blocking.
         assert!(wal.set_redline(false));
         wal.enqueue(&batch(3)).unwrap();
-        wal.try_enqueue(&batch(4)).unwrap();
+        wal.enqueue(&batch(4)).unwrap();
+        assert_eq!(wal.pending_batches(), 2);
+        assert_eq!(wal.group_stats().blocked_enqueues, 1);
         wal.flush_pending().unwrap();
         assert_eq!(wal.durable_seq(), 4);
     }
@@ -1266,32 +1251,6 @@ mod tests {
             (1..=12).collect::<Vec<_>>(),
             "nothing lost or reordered"
         );
-    }
-
-    #[test]
-    fn try_enqueue_returns_backpressure_at_the_watermark() {
-        let storage = FaultStorage::unfaulted();
-        let cfg = WalConfig {
-            max_pending_batches: 2,
-            ..WalConfig::default()
-        };
-        let (wal, _) = open_mem(&storage, cfg);
-        wal.try_enqueue(&batch(1)).unwrap();
-        wal.try_enqueue(&batch(2)).unwrap();
-        assert!(matches!(
-            wal.try_enqueue(&batch(3)),
-            Err(WalError::Backpressure)
-        ));
-        assert_eq!(wal.pending_batches(), 2, "refused record not enqueued");
-        // Draining the tail re-opens admission.
-        wal.flush_pending().unwrap();
-        wal.try_enqueue(&batch(3)).unwrap();
-        wal.flush_pending().unwrap();
-        assert!(wal.group_stats().blocked_enqueues >= 1);
-        drop(wal);
-        let (_, replay) = open_mem(&storage, WalConfig::default());
-        let ts: Vec<u64> = replay.batches.iter().map(|b| b.commit_ts).collect();
-        assert_eq!(ts, vec![1, 2, 3]);
     }
 
     #[test]

@@ -166,9 +166,9 @@ pub mod prelude {
     pub use mvcc_core::{
         AcquireTimeout, BatchWriter, CommitAck, Database, Durability, DurableConfig,
         DurableDatabase, DurableError, DurableSession, DurableStats, DurableTxn, GroupCommit,
-        Health, LeaseGuard, LeaseRevoked, MaintenanceHandle, MaintenanceHook, MaintenancePolicy,
-        MaintenanceStats, MaintenanceTick, MapOp, PoolStats, RecoveryReport, Router, Session,
-        SessionError, SessionPool, SessionReadGuard, Snapshot, WriteTxn,
+        Health, MaintenanceHandle, MaintenancePolicy, MaintenanceStats, MaintenanceTick, MapOp,
+        PoolStats, RecoveryReport, Router, Session, SessionError, SessionPool, SessionReadGuard,
+        Snapshot, WriteTxn,
     };
     pub use mvcc_fds::{CellSession, VersionedCell};
     pub use mvcc_ftree::{Forest, MaxU64Map, SumU64Map, TreeParams, U64Map};

@@ -566,56 +566,19 @@ fn abrupt_disconnect_while_queued_leaks_nothing() {
     assert_eq!(router.sessions_leased(), 0, "no pid leaked by disconnects");
 }
 
-/// The server's ~1ms tick drives an installed durability-maintenance
-/// hook: a supervised `DurableDatabase` riding in the server process
-/// gets its checkpoints from the poll loop (no dedicated thread), the
-/// reported health lands in `ServerStats`, and a degraded supervisor
-/// never stops the server from answering requests.
+/// A durable store embedded beside the server is checkpointed by its own
+/// supervisor thread (`start_maintenance`), not by the server's tick.
+/// When that supervisor degrades, the server keeps answering and the
+/// degraded store keeps taking commits.
 #[test]
-fn server_tick_drives_maintenance_hook_and_reports_health() {
-    use multiversion::core::{DurableConfig, DurableDatabase, Health, MaintenancePolicy};
+fn server_keeps_serving_beside_a_degraded_durable_supervisor() {
+    use multiversion::core::{DurableConfig, DurableDatabase, MaintenancePolicy};
     use multiversion::wal::{FaultPlan, FaultStorage};
 
     let router: Arc<Router<U64Map>> = Arc::new(Router::new(1, 2));
     let handle = Server::start(Arc::clone(&router), "127.0.0.1:0").unwrap();
-    assert_eq!(handle.server().maintenance_health(), None, "no hook yet");
 
-    // A healthy durable store embedded next to the server.
-    let storage = FaultStorage::unfaulted();
-    let db: Arc<DurableDatabase<U64Map>> = Arc::new(
-        DurableDatabase::recover_storage(
-            Arc::new(storage.clone()),
-            2,
-            DurableConfig {
-                segment_bytes: 256,
-                ..DurableConfig::default()
-            },
-        )
-        .unwrap(),
-    );
-    handle.server().set_maintenance(
-        db.maintenance_hook(MaintenancePolicy::default().with_wal_bytes_threshold(512)),
-    );
-
-    // Write load on the durable store; the server's tick must notice
-    // the footprint and checkpoint it back under the threshold.
-    let mut s = db.session().unwrap();
-    for k in 0..200u64 {
-        s.insert(k, k).unwrap();
-    }
-    drop(s);
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while db.maintenance_stats().checkpoints < 1 || db.wal_bytes() >= 512 + 256 {
-        assert!(Instant::now() < deadline, "server tick never checkpointed");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let stats = handle.server().stats();
-    assert!(stats.maintenance_ticks > 0, "tick count must be visible");
-    assert!(!stats.maintenance_degraded);
-    assert_eq!(handle.server().maintenance_health(), Some(Health::Ok));
-
-    // Swap in a supervisor whose checkpoints always fail: the server
-    // reports Degraded, and keeps serving clients regardless.
+    // A store whose checkpoints always fail.
     let broken = FaultStorage::new(
         FaultPlan {
             fail_checkpoint_writes: true,
@@ -628,15 +591,13 @@ fn server_tick_drives_maintenance_hook_and_reports_health() {
             .unwrap(),
     );
     bad.session().unwrap().insert(1, 1).unwrap();
-    handle.server().set_maintenance(
-        bad.maintenance_hook(
-            MaintenancePolicy::default()
-                .with_wal_bytes_threshold(1)
-                .with_max_backoff(Duration::from_millis(2)),
-        ),
+    let supervisor = bad.start_maintenance(
+        MaintenancePolicy::default()
+            .with_wal_bytes_threshold(1)
+            .with_max_backoff(Duration::from_millis(2)),
     );
     let deadline = Instant::now() + Duration::from_secs(10);
-    while !handle.server().stats().maintenance_degraded {
+    while !bad.health().is_degraded() {
         assert!(Instant::now() < deadline, "degradation never surfaced");
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -647,11 +608,13 @@ fn server_tick_drives_maintenance_hook_and_reports_health() {
     assert_eq!(client.get(5).unwrap(), Some(50));
     // ...and on the degraded store itself.
     bad.session().unwrap().insert(2, 2).unwrap();
+    assert_eq!(bad.session().unwrap().get(&2), Some(2));
 
     drop(client);
+    supervisor.shutdown();
+    assert!(bad.health().is_degraded(), "nothing healed the store");
     let stats = handle.server().stats();
     handle.shutdown().unwrap();
     assert_eq!(stats.fifo_violations, 0);
-    assert!(stats.maintenance_degraded);
     assert_eq!(router.sessions_leased(), 0, "no pids leaked");
 }

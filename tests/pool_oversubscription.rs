@@ -330,60 +330,53 @@ fn async_deadline_expiry_mid_queue_preserves_fifo() {
     assert_eq!(db.sessions_leased(), 0);
 }
 
-/// Lease revocation end-to-end: an expired *idle* lease is reaped, the
-/// pid serves a new client immediately, the stalled holder gets a typed
-/// `LeaseRevoked` on next use, and after everything drops the pool has
-/// exactly zero leaks — every pid acquirable again.
+/// Every way a session ends returns its pid exactly once: a plain drop,
+/// a drop during a panic's unwind, and the drop of an exact-pid
+/// `session_for`. Afterwards the pool has zero leaks, every pid is
+/// acquirable once and not one more, and committed writes survive.
 #[test]
-fn revoked_lease_returns_the_pid_with_zero_leaks() {
-    const PIDS: usize = 2;
+fn every_session_end_returns_its_pid_exactly_once() {
+    const PIDS: usize = 3;
     let db: Database<U64Map> = Database::new(PIDS);
     let pool = db.pool();
 
-    let mut guard = pool.acquire_leased(Duration::from_millis(20));
-    guard
-        .with(|s| {
-            s.insert(1, 10);
-        })
-        .expect("a fresh lease runs transactions");
-    let camped_pid = guard.pid();
-    assert_eq!(db.sessions_leased(), 1);
+    // Plain drop.
+    let mut s = pool.acquire();
+    s.insert(1, 10);
+    drop(s);
+    assert_eq!(db.sessions_leased(), 0);
 
-    // The holder stalls past its lease; the reaper reclaims the pid.
-    std::thread::sleep(Duration::from_millis(40));
-    assert_eq!(pool.reap_expired(), 1, "one expired idle lease");
+    // A holder that panics after committing: the session drops while
+    // its thread unwinds.
+    let unwound = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let mut s = pool.acquire();
+                s.insert(2, 20);
+                panic!("holder dies with its session");
+            })
+            .join()
+    });
+    assert!(unwound.is_err(), "the holder thread panicked");
+    assert_eq!(db.sessions_leased(), 0, "unwinding returned the pid");
 
-    // The pid is back: with one other session out, a try_acquire for the
-    // *last* free pid still succeeds — and sees the lease's writes.
-    let other = pool.try_acquire().expect("first free pid");
-    let mut reclaimed = pool
-        .try_acquire()
-        .expect("the reaped pid is immediately acquirable");
-    assert!(
-        [other.pid(), reclaimed.pid()].contains(&camped_pid),
-        "the camped pid is one of the two now in service"
-    );
-    assert_eq!(reclaimed.get(&1), Some(10), "committed state survived");
-    drop(reclaimed);
+    // An exact-pid session, held beside a pooled one.
+    let other = pool.try_acquire().expect("a free pid");
+    let exact_pid = (0..PIDS).find(|&p| p != other.pid()).unwrap();
+    let mut exact = db.session_for(exact_pid).expect("the pid is free");
+    exact.insert(3, 30);
+    assert_eq!(db.sessions_leased(), 2);
+    drop(exact);
     drop(other);
+    assert_eq!(db.sessions_leased(), 0, "zero leaks");
 
-    // The stalled holder finds out via a typed error, not a panic, and
-    // its drop must not return the pid a second time.
-    let err = guard
-        .with(|s| {
-            s.insert(2, 20);
-        })
-        .expect_err("a revoked lease must refuse to run");
-    assert_eq!(err.pid, camped_pid);
-    assert!(guard.is_revoked());
-    drop(guard);
-
-    assert_eq!(db.sessions_leased(), 0, "zero leaks after the guard drops");
-    // No double-release: every pid is acquirable exactly once.
-    let all: Vec<_> = (0..PIDS).map(|_| pool.try_acquire().unwrap()).collect();
-    assert_eq!(all.len(), PIDS);
+    // No double release: every pid is acquirable exactly once.
+    let mut all: Vec<_> = (0..PIDS).map(|_| pool.try_acquire().unwrap()).collect();
     assert!(pool.try_acquire().is_err(), "and not one more");
-    drop(all);
+    assert_eq!(all[0].get(&1), Some(10));
+    assert_eq!(all[0].get(&2), Some(20), "the panicked holder's commit");
+    assert_eq!(all[0].get(&3), Some(30));
+    all.clear();
     assert_eq!(db.sessions_leased(), 0);
 }
 
